@@ -10,7 +10,9 @@ NumPy/SciPy kernels:
 
 * ``scores_batch`` / ``scores`` — similarities of query rows against the
   whole universe (Generalized Jaccard is rescored exactly on a
-  cosine-prefiltered candidate set, exactly like the paper's top-k use),
+  cosine-prefiltered candidate set, exactly like the paper's top-k use,
+  from token ids: each Jaro–Winkler token pair is scored once per
+  corpus into a table every view shares),
 * ``top_k_batch`` / ``top_k`` — most-similar lookups with exclusion masks,
 * ``rank`` — exact ranking of an explicit candidate subset for a query,
 * ``pairwise_matrix`` — exact symmetric similarity matrix of a subset,
@@ -33,8 +35,10 @@ Since the serving layer landed, a *root* engine is also mutable:
   existing column ids never move) and tombstone retirement.  Embeddings
   are invalidated lazily (``refresh_embeddings``), the canonical
   token-set keys keep the shared :class:`BoundedPairCache` coherent
-  across mutations, and ``row_signatures`` serves a per-delta-version
-  cached :class:`~repro.similarity.signatures.RowSignatures` summary.
+  across mutations, the stable column ids keep the shared
+  :class:`~repro.similarity.features.JaroWinklerTable` valid, and
+  ``row_signatures`` serves a per-delta-version cached
+  :class:`~repro.similarity.signatures.RowSignatures` summary.
 * ``external_scores_batch`` / ``external_top_k_batch`` — scoring of
   query token sets that are *not* part of the universe, numerically
   identical to append-then-score-then-retire (out-of-vocabulary query
@@ -55,6 +59,9 @@ from repro.similarity.features import (
     TOKEN_METRICS,
     AttributeView,
     BoundedPairCache,
+    JaroWinklerTable,
+    TokenIdRows,
+    TokenIdSpace,
     generalized_jaccard_batch,
 )
 from repro.similarity.signatures import RowSignatures
@@ -193,6 +200,7 @@ class SimilarityEngine:
             dtype=np.intp,
         )
         self._gj_cache = BoundedPairCache(gj_cache_entries)
+        self._jw_table = JaroWinklerTable()
         self._init_mutation_state(embedding_model=embedding_model)
 
     def _init_mutation_state(
@@ -218,6 +226,7 @@ class SimilarityEngine:
         prefilter: int,
         token_keys: np.ndarray,
         gj_cache: BoundedPairCache,
+        jw_table: JaroWinklerTable | None = None,
     ) -> "SimilarityEngine":
         engine = cls.__new__(cls)
         engine.titles = titles
@@ -229,6 +238,7 @@ class SimilarityEngine:
         engine._embeddings = embeddings
         engine._token_keys = token_keys
         engine._gj_cache = gj_cache
+        engine._jw_table = JaroWinklerTable() if jw_table is None else jw_table
         engine._attributes = {}
         engine._attribute_views = {}
         engine._init_mutation_state()
@@ -389,6 +399,7 @@ class SimilarityEngine:
             prefilter=self.prefilter,
             token_keys=self._token_keys[rows],
             gj_cache=self._gj_cache,
+            jw_table=self._jw_table,
         )
         engine.vocabulary = self.vocabulary
         engine._is_view = True
@@ -474,9 +485,11 @@ class SimilarityEngine:
 
         Amortized O(delta): rows land in capacity-doubling CSR buffers,
         the vocabulary grows append-only (existing column ids never
-        move, so prior scores are unaffected), and canonical token-set
-        keys extend the existing numbering so the shared
-        Generalized-Jaccard pair cache stays coherent.  Embeddings are
+        move, so prior scores and the shared Jaro–Winkler table stay
+        valid; the table re-ranks the grown vocabulary lexicographically
+        on its next use), and canonical token-set keys extend the
+        existing numbering so the shared Generalized-Jaccard pair cache
+        stays coherent.  Embeddings are
         *invalidated*, not recomputed — ``lsa_embedding`` disappears
         from ``metric_names`` until :meth:`refresh_embeddings`.
         """
@@ -717,7 +730,12 @@ class SimilarityEngine:
                     scores = np.where(denominator == 0.0, 1.0, scores)
                 else:
                     scores = self._generalized_jaccard_block(
-                        chunk, intersections, query_sizes
+                        self._token_ids()[chunk],
+                        self._token_keys[chunk],
+                        self._token_space(),
+                        intersections,
+                        query_sizes,
+                        cache=self._gj_cache,
                     )
             out[start : start + _BATCH_ROWS] = np.nan_to_num(scores, nan=0.0)
         return out
@@ -726,6 +744,14 @@ class SimilarityEngine:
         """Similarity of one query title to every title in the universe."""
         return self.scores_batch([query_index], metric)[0]
 
+    def _token_ids(self) -> TokenIdRows:
+        """Every row's token ids, straight from the incidence matrix."""
+        return TokenIdRows(self._matrix.indices, self._matrix.indptr)
+
+    def _token_space(self) -> TokenIdSpace:
+        """The vocabulary's id space over the JW table this engine shares."""
+        return self._jw_table.space(self.vocabulary)
+
     def generalized_jaccard_pairs(
         self, rows_a: Sequence[int], rows_b: Sequence[int]
     ) -> np.ndarray:
@@ -733,25 +759,37 @@ class SimilarityEngine:
 
         Pairs are deduped on the corpus-global canonical token-set ids (so
         duplicate titles score once) and served through the per-corpus
-        bounded cache every view shares; see
+        bounded cache every view shares; token pairs are scored through the
+        shared :class:`~repro.similarity.features.JaroWinklerTable`.  See
         :func:`~repro.similarity.features.generalized_jaccard_batch`.
         """
         rows_a = np.asarray(rows_a, dtype=np.intp).ravel()
         rows_b = np.asarray(rows_b, dtype=np.intp).ravel()
-        sets = self.token_sets
+        ids = self._token_ids()
         return generalized_jaccard_batch(
-            [sets[int(row)] for row in rows_a],
-            [sets[int(row)] for row in rows_b],
+            ids[rows_a],
+            ids[rows_b],
             keys=(self._token_keys[rows_a], self._token_keys[rows_b]),
             cache=self._gj_cache,
+            space=self._token_space(),
         )
 
     def _generalized_jaccard_block(
         self,
-        query_rows: np.ndarray,
+        queries: TokenIdRows,
+        query_keys: np.ndarray,
+        space: TokenIdSpace,
         intersections: np.ndarray,
         query_sizes: np.ndarray,
+        *,
+        cache: BoundedPairCache | None,
     ) -> np.ndarray:
+        """Jaccard scores with each query's cosine prefilter rescored exactly.
+
+        ``queries`` are corpus rows or external token sets, as id rows in
+        ``space`` with their canonical keys; ``cache`` is the corpus's
+        set-pair cache, or None for keys that are not corpus-stable.
+        """
         sizes = self._set_sizes
         union = np.maximum(sizes[None, :] + query_sizes - intersections, 1e-12)
         scores = intersections / union
@@ -777,10 +815,15 @@ class SimilarityEngine:
             )
         n_queries, width = top_block.shape
         candidates = np.ascontiguousarray(top_block).ravel()
-        values = self.generalized_jaccard_pairs(
-            np.repeat(query_rows, width), candidates
+        owners = np.repeat(np.arange(n_queries), width)
+        values = generalized_jaccard_batch(
+            queries[owners],
+            self._token_ids()[candidates],
+            keys=(query_keys[owners], self._token_keys[candidates]),
+            cache=cache,
+            space=space,
         )
-        scores[np.repeat(np.arange(n_queries), width), candidates] = values
+        scores[owners, candidates] = values
         return scores
 
     # ------------------------------------------------------------------ #
@@ -910,33 +953,55 @@ class SimilarityEngine:
     # ------------------------------------------------------------------ #
     # External queries: token sets outside the universe
     # ------------------------------------------------------------------ #
-    def _external_matrix(
+    def _external_ids(
         self, token_sets: Sequence[set[str]]
-    ) -> tuple[csr_matrix, np.ndarray]:
-        """Query rows in this engine's column space plus full set sizes.
+    ) -> tuple[TokenIdRows, list[str]]:
+        """Query token sets as id rows, each token mapped once per query.
 
-        Out-of-vocabulary query tokens intersect no corpus row but still
-        count toward the query's set size, so external scores equal what
-        ``append()`` → score → ``retire()`` would produce — the identity
-        the serving layer's parity pin rests on.
+        Vocabulary tokens keep their column ids; out-of-vocabulary tokens
+        get call-local ids past the vocabulary, returned in id order.
         """
         vocabulary = self.vocabulary
-        rows: list[int] = []
-        cols: list[int] = []
-        sizes = np.empty(len(token_sets), dtype=np.float64)
-        for row, tokens in enumerate(token_sets):
-            sizes[row] = len(tokens)
+        extra: dict[str, int] = {}
+        indices: list[int] = []
+        indptr = [0]
+        for tokens in token_sets:
             for token in tokens:
-                col = vocabulary.get(token)
-                if col is not None:
-                    rows.append(row)
-                    cols.append(col)
-        matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(token_sets), self._matrix.shape[1]),
-            dtype=np.float64,
+                column = vocabulary.get(token)
+                if column is None:
+                    column = extra.setdefault(token, len(vocabulary) + len(extra))
+                indices.append(column)
+            indptr.append(len(indices))
+        rows = TokenIdRows(
+            np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)
         )
-        return matrix, sizes
+        return rows, list(extra)
+
+    def _external_matrix(self, query_ids: TokenIdRows) -> csr_matrix:
+        """Query rows in this engine's column space.
+
+        Out-of-vocabulary query tokens intersect no corpus row but still
+        count toward the query's set size (``query_ids.sizes()``), so
+        external scores equal what ``append()`` → score → ``retire()``
+        would produce — the identity the serving layer's parity pin rests
+        on.
+        """
+        known = query_ids.indices < len(self.vocabulary)
+        indptr = np.concatenate(([0], np.cumsum(known)))[query_ids.indptr]
+        return csr_matrix(
+            (np.ones(int(indptr[-1])), query_ids.indices[known], indptr),
+            shape=(len(query_ids), self._matrix.shape[1]),
+        )
+
+    def _external_keys(self, token_sets: Sequence[set[str]]) -> np.ndarray:
+        """Call-local canonical keys past the corpus's: equal query sets
+        share a key, and no key equals a corpus row's."""
+        first = int(self._token_keys.max()) + 1 if len(self) else 0
+        canon: dict[frozenset, int] = {}
+        return np.array(
+            [first + canon.setdefault(frozenset(tokens), len(canon)) for tokens in token_sets],
+            dtype=np.int64,
+        )
 
     def external_scores_batch(
         self, token_sets: Sequence[set[str]], metric: str
@@ -960,13 +1025,22 @@ class SimilarityEngine:
             )
         if metric not in ("cosine", "dice", "generalized_jaccard"):
             raise ValueError(f"unknown metric: {metric!r}")
-        query_matrix, all_sizes = self._external_matrix(queries)
+        query_ids, extra = self._external_ids(queries)
+        query_matrix = self._external_matrix(query_ids)
+        all_sizes = query_ids.sizes().astype(np.float64)
+        if metric == "generalized_jaccard":
+            # The set-pair cache stays out of it (the query keys are
+            # call-local); token pairs within the vocabulary still go
+            # through the shared JW table.
+            query_keys = self._external_keys(queries)
+            space = self._token_space().with_tokens(extra)
         out = np.empty((len(queries), len(self)), dtype=np.float64)
         sizes = self._set_sizes
         for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = query_matrix[start : start + _BATCH_ROWS]
+            stop = start + _BATCH_ROWS
+            chunk = query_matrix[start:stop]
             intersections = np.asarray((chunk @ self._matrix.T).todense())
-            query_sizes = all_sizes[start : start + _BATCH_ROWS][:, None]
+            query_sizes = all_sizes[start:stop][:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 if metric == "cosine":
                     scores = intersections / np.sqrt(
@@ -978,49 +1052,16 @@ class SimilarityEngine:
                     # Reference semantics: two empty token sets are identical.
                     scores = np.where(denominator == 0.0, 1.0, scores)
                 else:
-                    scores = self._external_generalized_jaccard_block(
-                        queries[start : start + _BATCH_ROWS],
+                    scores = self._generalized_jaccard_block(
+                        query_ids[start:stop],
+                        query_keys[start:stop],
+                        space,
                         intersections,
                         query_sizes,
+                        cache=None,
                     )
-            out[start : start + _BATCH_ROWS] = np.nan_to_num(scores, nan=0.0)
+            out[start:stop] = np.nan_to_num(scores, nan=0.0)
         return out
-
-    def _external_generalized_jaccard_block(
-        self,
-        chunk_sets: Sequence[set[str]],
-        intersections: np.ndarray,
-        query_sizes: np.ndarray,
-    ) -> np.ndarray:
-        sizes = self._set_sizes
-        union = np.maximum(sizes[None, :] + query_sizes - intersections, 1e-12)
-        scores = intersections / union
-        cosine = intersections / np.sqrt(
-            np.maximum(sizes[None, :] * query_sizes, 1e-12)
-        )
-        if self._retired is not None:
-            cosine = np.where(self._retired[None, :], -np.inf, cosine)
-        prefilter = min(self.prefilter, self.live_count)
-        if prefilter <= 0:
-            return scores
-        if prefilter < cosine.shape[1]:
-            top_block = np.argpartition(-cosine, prefilter - 1, axis=1)[:, :prefilter]
-        else:
-            top_block = np.broadcast_to(
-                np.arange(cosine.shape[1]), cosine.shape
-            )
-        n_queries, width = top_block.shape
-        candidates = np.ascontiguousarray(top_block).ravel()
-        corpus_sets = self.token_sets
-        # Uncached exact rescoring: external queries have no canonical
-        # key (assigning one would mutate shared cache state from the
-        # read path), and the values are exact either way.
-        values = generalized_jaccard_batch(
-            [chunk_sets[int(q)] for q in np.repeat(np.arange(n_queries), width)],
-            [corpus_sets[int(row)] for row in candidates],
-        )
-        scores[np.repeat(np.arange(n_queries), width), candidates] = values
-        return scores
 
     def external_top_k_batch(
         self, token_sets: Sequence[set[str]], metric: str, *, k: int

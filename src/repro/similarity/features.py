@@ -22,13 +22,19 @@ for *pair-shaped* workloads:
   becomes a masked argmax), followed by vectorized transposition counting
   and prefix boosting.
 * :func:`generalized_jaccard_batch` — Generalized Jaccard with soft token
-  matching over N explicit set pairs.  Requested pairs are deduped by
-  canonical token-set key, every needed symmetric-difference token pair is
-  scored through :func:`jaro_winkler_similarity_batch` in one pass, and
-  the greedy threshold matching runs as a masked argmax across all pairs
-  at once — the batched replacement for the engine's per-pair rescoring
-  loop.  :class:`BoundedPairCache` is its thread-safe, bounded score cache
-  (one per corpus, shared by every engine view).
+  matching over N explicit set pairs, run on token ids
+  (:class:`TokenIdRows` in a :class:`TokenIdSpace`; string input is
+  encoded over a call-local vocabulary first).  Requested pairs are
+  deduped by canonical token-set key, every distinct symmetric-difference
+  token pair gets one Jaro–Winkler score, and the greedy threshold
+  matching runs as a masked argmax across all pairs at once — the batched
+  replacement for the engine's per-pair rescoring loop.
+  :class:`BoundedPairCache` is its thread-safe, bounded set-pair score
+  cache, and :class:`JaroWinklerTable` its token-pair table: keyed by
+  vocabulary ids (lexicographically smaller token first) in int64-keyed
+  NumPy arrays, it scores each in-vocabulary token pair once per corpus
+  through :func:`jaro_winkler_similarity_batch`.  Both belong to one
+  corpus and are shared by every engine view.
 
 All kernels are drop-in parity replacements for the scalar functions in
 ``similarity/token_based.py`` and ``similarity/character_based.py``; the
@@ -38,8 +44,10 @@ test-suite pins them together at 1e-9.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,7 +58,10 @@ from repro.text.tokenize import tokenize
 __all__ = [
     "AttributeView",
     "BoundedPairCache",
+    "JaroWinklerTable",
     "TOKEN_METRICS",
+    "TokenIdRows",
+    "TokenIdSpace",
     "generalized_jaccard_batch",
     "levenshtein_similarity_batch",
     "jaro_winkler_similarity_batch",
@@ -503,58 +514,291 @@ def _as_token_set(value: str | Iterable[str]) -> set[str]:
     return set(value)
 
 
+# --------------------------------------------------------------------- #
+# Id-encoded token sets and the Jaro-Winkler pair table
+# --------------------------------------------------------------------- #
+_LOW_BITS = (1 << 32) - 1
+
+
+def _pair_key(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Pack two non-negative id arrays into one int64 key per pair."""
+    return (lo.astype(np.int64) << 32) | hi.astype(np.int64)
+
+
+def _sorted_member(values: np.ndarray, sorted_pool: np.ndarray) -> np.ndarray:
+    """``np.isin`` for an ascending ``sorted_pool``, without re-sorting."""
+    if sorted_pool.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_pool, values), sorted_pool.size - 1)
+    return sorted_pool[at] == values
+
+
+class JaroWinklerTable:
+    """Thread-safe Jaro–Winkler scores of token-id pairs for one vocabulary.
+
+    Ids are the columns of one append-only vocabulary — a root
+    :class:`~repro.similarity.engine.SimilarityEngine` and every view of
+    it — so an entry stays valid as the vocabulary grows.  Each entry is
+    keyed by the lexicographically smaller token's id first and holds
+    ``JW(smaller, larger)``, the orientation the GJ kernel scores in.
+    Keys are packed into one int64 and kept sorted beside their scores in
+    two NumPy arrays: 16 bytes per distinct pair, no entry is a Python
+    object, and inserts replace the arrays instead of mutating them.  The
+    table also serves its vocabulary's :class:`TokenIdSpace`, whose
+    lexicographic order is recomputed only when the vocabulary has grown.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._fill_lock = threading.Lock()  # held while scoring misses
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.float64)
+        self._space: TokenIdSpace | None = None
+
+    def __len__(self) -> int:
+        with self._lock:
+            return int(self._keys.size)
+
+    def space(self, vocabulary: Mapping[str, int]) -> "TokenIdSpace":
+        """``vocabulary``'s ids (dense, in insertion order) over this table."""
+        space = self._space
+        if space is None or len(space.tokens) != len(vocabulary):
+            tokens = list(vocabulary)
+            ranked = sorted(range(len(tokens)), key=tokens.__getitem__)
+            order = np.empty(len(tokens), dtype=np.int64)
+            order[ranked] = np.arange(len(tokens))
+            space = TokenIdSpace(
+                tokens,
+                order,
+                table=self,
+                n_stored=len(tokens),
+                sorted_tokens=[tokens[i] for i in ranked],
+            )
+            with self._lock:
+                self._space = space
+        return space
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(found, scores)`` for packed pair keys (scores valid where found)."""
+        with self._lock:
+            stored, values = self._keys, self._values
+        if stored.size == 0:
+            return np.zeros(keys.size, dtype=bool), np.empty(keys.size)
+        at = np.minimum(np.searchsorted(stored, keys), stored.size - 1)
+        return stored[at] == keys, values[at]
+
+    def scores(
+        self, keys: np.ndarray, score: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """Scores of distinct packed pair keys, calling ``score(missing)``
+        for the ones not yet stored and storing its result.
+
+        Misses are scored under a fill lock and looked up again inside it,
+        so threads sharing the table never score one pair twice; hits do
+        not wait for it.
+        """
+        found, values = self.lookup(keys)
+        if found.all():
+            return values
+        with self._fill_lock:
+            missing = np.flatnonzero(~found)
+            found, again = self.lookup(keys[missing])
+            values[missing[found]] = again[found]
+            missing = missing[~found]
+            if missing.size:
+                values[missing] = score(keys[missing])
+                self.insert(keys[missing], values[missing])
+        return values
+
+    def insert(self, keys: np.ndarray, scores: np.ndarray) -> None:
+        """Store distinct packed pair keys with their scores; present keys
+        keep theirs."""
+        order = np.argsort(keys)
+        keys, scores = keys[order], np.asarray(scores, dtype=np.float64)[order]
+        with self._lock:
+            fresh = ~_sorted_member(keys, self._keys)
+            at = np.searchsorted(self._keys, keys[fresh])
+            self._keys = np.insert(self._keys, at, keys[fresh])
+            self._values = np.insert(self._values, at, scores[fresh])
+
+    # Engines cross process boundaries when shard builds return from
+    # worker processes: pickling ships the entries and the other side
+    # rebuilds the locks and (lazily) the id space.
+    def __getstate__(self) -> dict:
+        with self._lock:
+            return {"keys": self._keys, "scores": self._values}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self.insert(state["keys"], state["scores"])
+
+
+class TokenIdSpace(NamedTuple):
+    """Token ids as the Generalized-Jaccard kernel consumes them.
+
+    ``tokens[i]`` is id ``i``'s token and ``order[i]`` its rank in the
+    lexicographic order of every id in the space.  Pairs of ids below
+    ``n_stored`` go through ``table`` (``n_stored`` is 0 without one);
+    ids from ``n_stored`` on are call-local (out-of-vocabulary query
+    tokens): their pairs are scored but never stored.  ``sorted_tokens``
+    lists the table's vocabulary in lexicographic order, for placing
+    call-local ids.
+    """
+
+    tokens: Sequence[str]
+    order: np.ndarray
+    table: JaroWinklerTable | None = None
+    n_stored: int = 0
+    sorted_tokens: Sequence[str] = ()
+
+    def with_tokens(self, extra: Sequence[str]) -> "TokenIdSpace":
+        """This space plus call-local ids ``len(tokens) + j`` for ``extra``.
+
+        ``extra`` holds distinct tokens that are not in the space.  Ranks
+        are spread by ``len(extra) + 1`` so each extra token slots in
+        between the vocabulary ranks around it.
+        """
+        if not extra:
+            return self
+        n_vocab = len(self.tokens)
+        spread = len(extra) + 1
+        order = np.empty(n_vocab + len(extra), dtype=np.int64)
+        order[:n_vocab] = self.order * spread + (spread - 1)
+        for j, i in enumerate(sorted(range(len(extra)), key=extra.__getitem__)):
+            order[n_vocab + i] = bisect_left(self.sorted_tokens, extra[i]) * spread + j
+        return self._replace(tokens=[*self.tokens, *extra], order=order)
+
+
+class TokenIdRows:
+    """Token sets as rows of ids: a selection of CSR rows.
+
+    Entry ``i`` is the id set ``indices[indptr[r]:indptr[r + 1]]`` of row
+    ``r = rows[i]``, so a sparse incidence matrix's own ``indices`` and
+    ``indptr`` serve as-is and no token set is materialized.  Indexing
+    with an integer array or a slice selects entries.
+    """
+
+    __slots__ = ("indices", "indptr", "rows")
+
+    def __init__(
+        self,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        self.indices = indices
+        self.indptr = indptr
+        self.rows = (
+            np.arange(len(indptr) - 1) if rows is None else np.asarray(rows, dtype=np.intp)
+        )
+
+    def __len__(self) -> int:
+        return int(self.rows.size)
+
+    def __getitem__(self, positions) -> "TokenIdRows":
+        return TokenIdRows(self.indices, self.indptr, self.rows[positions])
+
+    def sizes(self) -> np.ndarray:
+        return (self.indptr[self.rows + 1] - self.indptr[self.rows]).astype(np.intp)
+
+    def ordered(
+        self, order: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry's ids sorted by ``order`` within the entry, flat.
+
+        Returns the ids, their ascending sort keys ``entry * stride +
+        order[id]`` (``stride`` exceeds every order value) and the
+        per-entry lengths.
+        """
+        starts = self.indptr[self.rows].astype(np.int64)
+        lengths = self.indptr[self.rows + 1].astype(np.int64) - starts
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        firsts = np.cumsum(lengths) - lengths
+        positions = np.arange(owner.size) + (starts - firsts)[owner]
+        ids = np.asarray(self.indices[positions], dtype=np.int64)
+        stride = int(order.max()) + 1 if order.size else 1
+        tags = owner * stride + order[ids]
+        sort = np.argsort(tags)
+        return ids[sort], tags[sort], lengths
+
+
+def _encode_call_local(
+    lefts: TokenSets, rights: TokenSets
+) -> tuple[TokenIdRows, TokenIdRows, TokenIdSpace, tuple[list[int], list[int]]]:
+    """Both sides over one call-local vocabulary, plus canonical set keys.
+
+    Ids are lexicographic ranks, so the space's order is the identity.
+    """
+    sides = (
+        [_as_token_set(value) for value in lefts],
+        [_as_token_set(value) for value in rights],
+    )
+    vocabulary = sorted({token for sets in sides for tokens in sets for token in tokens})
+    rank = {token: i for i, token in enumerate(vocabulary)}
+    canon: dict[frozenset, int] = {}
+    encoded: list[TokenIdRows] = []
+    keys: list[list[int]] = []
+    for sets in sides:
+        lengths = np.array([len(tokens) for tokens in sets], dtype=np.int64)
+        indices = np.fromiter(
+            (rank[token] for tokens in sets for token in tokens),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        encoded.append(TokenIdRows(indices, np.concatenate(([0], np.cumsum(lengths)))))
+        keys.append([canon.setdefault(frozenset(tokens), len(canon)) for tokens in sets])
+    space = TokenIdSpace(vocabulary, np.arange(len(vocabulary), dtype=np.int64))
+    return encoded[0], encoded[1], space, (keys[0], keys[1])
+
+
 def generalized_jaccard_batch(
-    lefts: TokenSets,
-    rights: TokenSets,
+    lefts: TokenSets | TokenIdRows,
+    rights: TokenSets | TokenIdRows,
     *,
     threshold: float = DEFAULT_SOFT_THRESHOLD,
     keys: tuple[Sequence[int], Sequence[int]] | None = None,
     cache: BoundedPairCache | None = None,
+    space: TokenIdSpace | None = None,
 ) -> np.ndarray:
     """Vectorized ``generalized_jaccard_similarity`` over aligned pairs.
 
     ``lefts``/``rights`` hold raw strings (tokenized internally) or
-    pre-built token sets.  ``keys`` are optional canonical token-set ids
-    per side — rows with equal ids must have equal token sets — which let
-    the engine dedupe duplicate titles without re-hashing; without them,
-    pairs are canonicalized by frozenset.  Each distinct unordered key
-    pair is scored once, through ``cache`` when given (the cache key is
-    the canonical pair, so callers must pass corpus-stable ids and a
+    pre-built token sets, encoded over a call-local vocabulary — or, with
+    ``space``, :class:`TokenIdRows` over that space's ids, which is how
+    the engine passes its corpus rows without materializing a string.
+    ``keys`` are canonical token-set ids per side — rows with equal ids
+    must have equal token sets — which let the engine dedupe duplicate
+    titles without re-hashing; they are required with ``space``, and
+    computed by frozenset otherwise.  Each distinct unordered key pair is
+    scored once, through ``cache`` when given (the cache key is the
+    canonical pair, so callers must pass corpus-stable ids and a
     consistent ``threshold``).
 
     The scoring itself batches the paper's soft matching: identical
-    tokens are matched outright, every symmetric-difference token pair is
-    scored through :func:`jaro_winkler_similarity_batch` in one deduped
-    pass, and the greedy descending-score matching runs as a masked
+    tokens are matched outright, every distinct symmetric-difference
+    token pair gets one Jaro–Winkler score (from the space's
+    :class:`JaroWinklerTable`, or one :func:`jaro_winkler_similarity_batch`
+    pass), and the greedy descending-score matching runs as a masked
     argmax across all set pairs simultaneously.
     """
     if len(lefts) != len(rights):
         raise ValueError("left and right token-set lists must be aligned")
-    sets_l = [_as_token_set(value) for value in lefts]
-    sets_r = [_as_token_set(value) for value in rights]
-    n = len(sets_l)
+    if space is None:
+        lefts, rights, space, canonical = _encode_call_local(lefts, rights)
+        keys = canonical if keys is None else keys
+    elif keys is None:
+        raise ValueError("id-encoded token sets need canonical keys")
+    n = len(lefts)
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
+    keys_a = np.asarray(keys[0], dtype=np.int64)
+    keys_b = np.asarray(keys[1], dtype=np.int64)
+    if keys_a.shape != (n,) or keys_b.shape != (n,):
+        raise ValueError("keys must align with the pair lists")
 
-    if keys is None:
-        canon: dict[frozenset, int] = {}
-        keys_a = np.array(
-            [canon.setdefault(frozenset(s), len(canon)) for s in sets_l],
-            dtype=np.intp,
-        )
-        keys_b = np.array(
-            [canon.setdefault(frozenset(s), len(canon)) for s in sets_r],
-            dtype=np.intp,
-        )
-    else:
-        keys_a = np.asarray(keys[0], dtype=np.intp)
-        keys_b = np.asarray(keys[1], dtype=np.intp)
-        if keys_a.shape != (n,) or keys_b.shape != (n,):
-            raise ValueError("keys must align with the pair lists")
-
-    sizes_a = np.array([len(s) for s in sets_l], dtype=np.intp)
-    sizes_b = np.array([len(s) for s in sets_r], dtype=np.intp)
+    sizes_a = lefts.sizes()
+    sizes_b = rights.sizes()
     both_empty = (sizes_a == 0) & (sizes_b == 0)
     any_empty = (sizes_a == 0) | (sizes_b == 0)
     identical = keys_a == keys_b
@@ -568,103 +812,105 @@ def generalized_jaccard_batch(
     if hard.size == 0:
         return out
 
-    # Dedup on canonical unordered key pairs; remember one representative
-    # row per distinct pair (its orientation is the one scored, exactly as
-    # the scalar cache stored the first-seen orientation).
-    slots: dict[tuple[int, int], int] = {}
-    slot_of = np.empty(hard.size, dtype=np.intp)
-    unique_keys: list[tuple[int, int]] = []
-    representatives: list[int] = []
-    for position, index in enumerate(hard):
-        key_a = int(keys_a[index])
-        key_b = int(keys_b[index])
-        key = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-        slot = slots.get(key)
-        if slot is None:
-            slot = len(unique_keys)
-            slots[key] = slot
-            unique_keys.append(key)
-            representatives.append(int(index))
-        slot_of[position] = slot
-
-    values = np.empty(len(unique_keys), dtype=np.float64)
+    # Dedup on canonical unordered key pairs; the first row of each
+    # distinct pair represents it, and its orientation is the one scored
+    # (exactly as the scalar cache stored the first-seen orientation).
+    hard_a = keys_a[hard]
+    hard_b = keys_b[hard]
+    unique, first, slot_of = np.unique(
+        _pair_key(np.minimum(hard_a, hard_b), np.maximum(hard_a, hard_b)),
+        return_index=True,
+        return_inverse=True,
+    )
+    values = np.empty(unique.size, dtype=np.float64)
+    missing = np.arange(unique.size)
     if cache is not None:
+        unique_keys = list(zip((unique >> 32).tolist(), (unique & _LOW_BITS).tolist()))
         cached = cache.get_many(unique_keys)
-        missing = [
-            slot for slot, key in enumerate(unique_keys) if key not in cached
-        ]
-        for slot, key in enumerate(unique_keys):
-            if key in cached:
-                values[slot] = cached[key]
-    else:
-        missing = list(range(len(unique_keys)))
-    if missing:
+        if cached:
+            hit = np.array([key in cached for key in unique_keys])
+            values[hit] = [cached[key] for key in unique_keys if key in cached]
+            missing = np.flatnonzero(~hit)
+    if missing.size:
+        chosen = hard[first[missing]]
         computed = _generalized_jaccard_unique(
-            [(sets_l[representatives[s]], sets_r[representatives[s]]) for s in missing],
-            threshold=threshold,
+            lefts[chosen], rights[chosen], space, threshold=threshold
         )
         values[missing] = computed
         if cache is not None:
             cache.put_many(
-                (unique_keys[s], float(score))
-                for s, score in zip(missing, computed)
+                (unique_keys[slot], score)
+                for slot, score in zip(missing.tolist(), computed.tolist())
             )
     out[hard] = values[slot_of]
     return out
 
 
+def _token_pair_scores(keys: np.ndarray, space: TokenIdSpace) -> np.ndarray:
+    """Jaro–Winkler of packed ``(smaller, larger)`` id pairs, repeats allowed.
+
+    Each distinct pair is scored once: pairs within the table's vocabulary
+    come from the table, which scores each one once per corpus, and pairs
+    with a call-local id are scored here.  Either way, scoring goes
+    through :func:`jaro_winkler_similarity_batch`.
+    """
+    tokens = space.tokens
+
+    def score(keys: np.ndarray) -> np.ndarray:
+        return jaro_winkler_similarity_batch(
+            [tokens[i] for i in (keys >> 32).tolist()],
+            [tokens[i] for i in (keys & _LOW_BITS).tolist()],
+        )
+
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    scores = np.empty(distinct.size, dtype=np.float64)
+    storable = np.maximum(distinct >> 32, distinct & _LOW_BITS) < space.n_stored
+    if storable.any():
+        scores[storable] = space.table.scores(distinct[storable], score)
+    if not storable.all():
+        scores[~storable] = score(distinct[~storable])
+    return scores[inverse]
+
+
 def _generalized_jaccard_unique(
-    set_pairs: list[tuple[set[str], set[str]]], *, threshold: float
+    lefts: TokenIdRows,
+    rights: TokenIdRows,
+    space: TokenIdSpace,
+    *,
+    threshold: float,
 ) -> np.ndarray:
-    """Score distinct, non-trivial (non-empty, non-identical) set pairs.
+    """Score distinct, non-trivial set pairs (non-empty, distinct keys).
 
     Shared tokens are matched outright (only score-1.0 pairs are
     identical-token pairs, and the greedy pass consumes them first), so
     the soft matching is restricted to the symmetric difference — unless
     the threshold exceeds 1.0, where not even identical tokens match and
-    the full sets enter the (then fruitless) soft pass.
+    the full sets enter the (then fruitless) soft pass.  Each pair's
+    tokens are taken in lexicographic order, the order the scalar greedy
+    tie-break uses.
     """
-    n_pairs = len(set_pairs)
-    rest_a: list[list[str]] = []
-    rest_b: list[list[str]] = []
-    mass = np.empty(n_pairs, dtype=np.float64)
-    matches = np.empty(n_pairs, dtype=np.intp)
-    total_sizes = np.empty(n_pairs, dtype=np.float64)
-    for p, (a, b) in enumerate(set_pairs):
-        if threshold <= 1.0:
-            common = a & b
-            rest_a.append(sorted(a - common))
-            rest_b.append(sorted(b - common))
-            base = len(common)
-        else:
-            rest_a.append(sorted(a))
-            rest_b.append(sorted(b))
-            base = 0
-        mass[p] = float(base)
-        matches[p] = base
-        total_sizes[p] = len(a) + len(b)
+    n_pairs = len(lefts)
+    ids_a, tags_a, len_a = lefts.ordered(space.order)
+    ids_b, tags_b, len_b = rights.ordered(space.order)
+    total_sizes = (len_a + len_b).astype(np.float64)
+    if threshold <= 1.0:
+        # Both sides' tags ascend (pair first, then token), so shared
+        # tokens are a sorted-array membership test.
+        rest_a = ~_sorted_member(tags_a, tags_b)
+        rest_b = ~_sorted_member(tags_b, tags_a)
+        owner_a = np.repeat(np.arange(n_pairs), len_a)
+        owner_b = np.repeat(np.arange(n_pairs), len_b)
+        matches = np.bincount(owner_a[~rest_a], minlength=n_pairs)
+        ids_a, ids_b = ids_a[rest_a], ids_b[rest_b]
+        len_a = np.bincount(owner_a[rest_a], minlength=n_pairs)
+        len_b = np.bincount(owner_b[rest_b], minlength=n_pairs)
+    else:
+        matches = np.zeros(n_pairs, dtype=np.int64)
+    mass = matches.astype(np.float64)
 
-    len_a = np.array([len(rest) for rest in rest_a], dtype=np.intp)
-    len_b = np.array([len(rest) for rest in rest_b], dtype=np.intp)
     counts = len_a * len_b
     total = int(counts.sum())
     if total:
-        # Rank-order the token vocabulary so integer order equals the
-        # lexicographic order the scalar greedy tie-break uses.
-        vocab = sorted(
-            {token for rests in (rest_a, rest_b) for rest in rests for token in rest}
-        )
-        rank = {token: i for i, token in enumerate(vocab)}
-        ids_a = np.fromiter(
-            (rank[token] for rest in rest_a for token in rest),
-            dtype=np.int64,
-            count=int(len_a.sum()),
-        )
-        ids_b = np.fromiter(
-            (rank[token] for rest in rest_b for token in rest),
-            dtype=np.int64,
-            count=int(len_b.sum()),
-        )
         offsets_a = np.concatenate(([0], np.cumsum(len_a)[:-1]))
         offsets_b = np.concatenate(([0], np.cumsum(len_b)[:-1]))
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -678,58 +924,91 @@ def _generalized_jaccard_unique(
         left_ids = ids_a[offsets_a[pair_idx] + i_a]
         right_ids = ids_b[offsets_b[pair_idx] + i_b]
 
-        # One Jaro-Winkler pass over the distinct token pairs, canonically
-        # ordered (JW is symmetric; ordering doubles the dedup rate).
-        n_vocab = len(vocab)
-        lo = np.minimum(left_ids, right_ids)
-        hi = np.maximum(left_ids, right_ids)
-        combos, inverse = np.unique(lo * n_vocab + hi, return_inverse=True)
-        pair_scores = jaro_winkler_similarity_batch(
-            [vocab[int(i)] for i in combos // n_vocab],
-            [vocab[int(i)] for i in combos % n_vocab],
+        # One Jaro-Winkler score per distinct token pair, lexicographically
+        # smaller token first (JW is symmetric; ordering doubles the dedup
+        # rate).
+        swap = space.order[left_ids] > space.order[right_ids]
+        element_scores = _token_pair_scores(
+            _pair_key(
+                np.where(swap, right_ids, left_ids), np.where(swap, left_ids, right_ids)
+            ),
+            space,
         )
-        element_scores = pair_scores[inverse]
 
-        # Greedy threshold matching, one masked argmax per round across a
-        # bounded block of set pairs.  Blocks are padded to the chunk-wide
-        # max rest sizes, so chunk boundaries follow a dense-cell budget —
-        # one pathologically long title cannot inflate the padding of
-        # thousands of small pairs into a multi-GB allocation.
-        start = 0
-        while start < n_pairs:
-            stop = start + 1
-            max_a = int(len_a[start])
-            max_b = int(len_b[start])
-            while stop < n_pairs and stop - start < _PAIR_CHUNK:
-                next_a = max(max_a, int(len_a[stop]))
-                next_b = max(max_b, int(len_b[stop]))
-                if (stop - start + 1) * next_a * next_b > _GREEDY_CELL_BUDGET:
-                    break
-                max_a, max_b = next_a, next_b
-                stop += 1
-            chunk_total = int(counts[start:stop].sum())
-            if chunk_total == 0:
-                start = stop
-                continue
-            element_start = int(starts[start])
-            elements = slice(element_start, element_start + chunk_total)
-            block = np.full((stop - start, max_a, max_b), -np.inf)
-            block[
-                pair_idx[elements] - start, i_a[elements], i_b[elements]
-            ] = element_scores[elements]
-            block[block < threshold] = -np.inf
-            flat = block.reshape(stop - start, max_a * max_b)
-            row_range = np.arange(stop - start)
-            while True:
-                best = flat.argmax(axis=1)
-                best_scores = flat[row_range, best]
-                live = np.flatnonzero(best_scores >= threshold)
-                if live.size == 0:
-                    break
-                chosen = best[live]
-                mass[start + live] += best_scores[live]
-                matches[start + live] += 1
-                block[live, chosen // max_b, :] = -np.inf
-                block[live, :, chosen % max_b] = -np.inf
-            start = stop
+        # Only token pairs reaching the threshold can ever be matched.
+        soft = np.flatnonzero(element_scores >= threshold)
+        _greedy_match(
+            pair_idx[soft], i_a[soft], i_b[soft], element_scores[soft], mass, matches
+        )
     return mass / (total_sizes - matches)
+
+
+def _greedy_match(
+    owner: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    scores: np.ndarray,
+    mass: np.ndarray,
+    matches: np.ndarray,
+) -> None:
+    """The greedy soft matching, accumulated into ``mass`` and ``matches``.
+
+    ``owner``, ``rows`` and ``cols`` place each candidate token pair (all
+    at or above the threshold) in its set pair's rest_a x rest_b grid,
+    ascending in (owner, row, col) order.  Each round takes every set
+    pair's best candidate — the first in row-major order among ties, as
+    the scalar greedy does — and strikes its row and column.  Grids are
+    compacted to the rows and columns holding a candidate; the maps are
+    monotone, so row-major order and the tie-break are unchanged.
+
+    Rounds run as one masked argmax across a bounded block of set pairs.
+    Blocks are padded to the chunk-wide max grid, so chunk boundaries
+    follow a dense-cell budget — one pathologically long title cannot
+    inflate the padding of thousands of small pairs into a multi-GB
+    allocation.
+    """
+    if owner.size == 0:
+        return
+    boundary = np.r_[True, owner[1:] != owner[:-1]]
+    first = np.flatnonzero(boundary)
+    group = np.cumsum(boundary) - 1
+    row_rank = np.cumsum(boundary | np.r_[True, rows[1:] != rows[:-1]]) - 1
+    rows = row_rank - row_rank[first][group]
+    stride = int(cols.max()) + 1
+    col_rank = np.unique(owner.astype(np.int64) * stride + cols, return_inverse=True)[1]
+    cols = col_rank - np.minimum.reduceat(col_rank, first)[group]
+    n_rows = np.maximum.reduceat(rows, first) + 1
+    n_cols = np.maximum.reduceat(cols, first) + 1
+    targets = owner[first]
+    ends = np.r_[first[1:], owner.size]
+    n_groups = first.size
+    start = 0
+    while start < n_groups:
+        stop = start + 1
+        max_a = int(n_rows[start])
+        max_b = int(n_cols[start])
+        while stop < n_groups and stop - start < _PAIR_CHUNK:
+            next_a = max(max_a, int(n_rows[stop]))
+            next_b = max(max_b, int(n_cols[stop]))
+            if (stop - start + 1) * next_a * next_b > _GREEDY_CELL_BUDGET:
+                break
+            max_a, max_b = next_a, next_b
+            stop += 1
+        elements = slice(int(first[start]), int(ends[stop - 1]))
+        block = np.full((stop - start, max_a, max_b), -np.inf)
+        block[group[elements] - start, rows[elements], cols[elements]] = scores[elements]
+        flat = block.reshape(stop - start, max_a * max_b)
+        row_range = np.arange(stop - start)
+        while True:
+            best = flat.argmax(axis=1)
+            best_scores = flat[row_range, best]
+            live = np.flatnonzero(best_scores > -np.inf)
+            if live.size == 0:
+                break
+            chosen = best[live]
+            pairs = targets[start + live]
+            mass[pairs] += best_scores[live]
+            matches[pairs] += 1
+            block[live, chosen // max_b, :] = -np.inf
+            block[live, :, chosen % max_b] = -np.inf
+        start = stop

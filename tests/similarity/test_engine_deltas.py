@@ -204,6 +204,10 @@ class TestCoherence:
 
     def test_mutated_engine_pickles(self):
         live, _ = _mutated_and_cold(seed=43)
+        # Warm the JW token-pair table first: it must ship with the engine.
+        queries = [int(r) for r in live.live_rows()][::2]
+        warm = live.scores_batch(queries, "generalized_jaccard")
+        assert len(live._jw_table) > 0
         clone = pickle.loads(pickle.dumps(live))
         assert [int(r) for r in clone.live_rows()] == [
             int(r) for r in live.live_rows()
@@ -212,6 +216,15 @@ class TestCoherence:
             clone.scores_batch([0], "cosine"),
             live.scores_batch([0], "cosine"),
         )
+        assert len(clone._jw_table) == len(live._jw_table)
+        assert clone._jw_table._lock.acquire(blocking=False)
+        clone._jw_table._lock.release()
+        np.testing.assert_array_equal(
+            clone.scores_batch(queries, "generalized_jaccard"), warm
+        )
+        # The clone's views share the clone's table, not the original's.
+        assert clone.view(queries)._jw_table is clone._jw_table
+        assert clone._jw_table is not live._jw_table
 
 
 class TestConcatEmbeddings:
