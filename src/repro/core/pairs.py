@@ -20,7 +20,6 @@ from repro.core.datasets import LabeledPair, PairDataset
 from repro.corpus.schema import ProductOffer
 from repro.similarity.embedding import LsaEmbeddingModel
 from repro.similarity.engine import SimilarityEngine
-from repro.similarity.index import TitleSimilaritySearch
 
 __all__ = ["generate_pairs"]
 
@@ -46,8 +45,8 @@ def generate_pairs(
     ``entries`` are ``(cluster_id, offer)`` tuples; offers of the same
     cluster produce positives, offers of different clusters negatives.
     With ``engine`` and ``offer_rows`` (offer id → engine row) the split's
-    similarity index is a cheap view over the shared corpus-level engine;
-    otherwise a standalone index is built from the split's titles.
+    similarity engine is a cheap view over the shared corpus-level engine;
+    otherwise a standalone engine is built from the split's titles.
     """
     if corner_negatives_per_offer < 0 or random_negatives_per_offer < 0:
         raise ValueError("negative counts must be non-negative")
@@ -55,14 +54,14 @@ def generate_pairs(
     offers = [offer for _, offer in entries]
     cluster_ids = [cluster_id for cluster_id, _ in entries]
     if engine is not None and offer_rows is not None:
-        index = TitleSimilaritySearch.over_view(
-            engine, [offer_rows[offer.offer_id] for offer in offers]
+        split_engine = engine.view(
+            [offer_rows[offer.offer_id] for offer in offers]
         )
     else:
-        index = TitleSimilaritySearch(
+        split_engine = SimilarityEngine(
             [offer.title for offer in offers], embedding_model=embedding_model
         )
-    metric_names = index.metric_names
+    metric_names = split_engine.metric_names
 
     # Dedup runs on sorted integer pair keys (offer ids interned to dense
     # ints) and pair materialization is deferred: the hot loops only touch
@@ -199,13 +198,15 @@ def generate_pairs(
             # chunk inside the engine — no (positions, n) boolean matrix.
             # Over-fetch: some candidates may already be paired (mirrored
             # pairs); the paper then takes "the next most similar pair".
-            batches = index.engine.top_k_batch(
+            batches = split_engine.top_k_scores_batch(
                 positions,
                 metric,
                 k=base_fetch,
                 exclude_groups=(group_ids[positions], group_ids),
             )
-            corner_candidates.update(zip(positions, batches))
+            corner_candidates.update(
+                (position, rows) for position, (rows, _) in zip(positions, batches)
+            )
 
     for position in range(n):
         cluster = cluster_ids[position]
@@ -249,8 +250,8 @@ def generate_pairs(
                 # wider result extends the previous one as a prefix)
                 # rather than falling back to random negatives.
                 fetch = min(2 * fetch, n)
-                candidates = index.engine.top_k(
-                    position,
+                [(candidates, _)] = split_engine.top_k_scores_batch(
+                    [position],
                     drawn[position],
                     k=fetch,
                     exclude=cluster_array == cluster_array[position],

@@ -58,7 +58,6 @@ from repro.core.builder import BuildConfig
 from repro.errors import CheckpointError, StoreError
 from repro.io.store import (
     StoredShard,
-    _jsonable,  # noqa: F401  (re-exported for backward compatibility)
     amend_manifest,
     config_fingerprint,
     stream_sha256,

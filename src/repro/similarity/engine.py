@@ -8,12 +8,13 @@ precomputes the sparse token-incidence matrix, the token-set sizes and the
 dense embedding matrix, and then serves every metric through batched
 NumPy/SciPy kernels:
 
-* ``scores_batch`` / ``scores`` — similarities of query rows against the
-  whole universe (Generalized Jaccard is rescored exactly on a
+* ``scores_batch`` — similarities of query rows against the whole
+  universe (Generalized Jaccard is rescored exactly on a
   cosine-prefiltered candidate set, exactly like the paper's top-k use,
   from token ids: each Jaro–Winkler token pair is scored once per
   corpus into a table every view shares),
-* ``top_k_batch`` / ``top_k`` — most-similar lookups with exclusion masks,
+* ``top_k_scores_batch`` — most-similar ``(indices, scores)`` lookups
+  with exclusion masks or group ids,
 * ``rank`` — exact ranking of an explicit candidate subset for a query,
 * ``pairwise_matrix`` — exact symmetric similarity matrix of a subset,
 * ``view`` — a cheap sub-engine over a row subset (no re-tokenization),
@@ -43,12 +44,18 @@ Since the serving layer landed, a *root* engine is also mutable:
   query token sets that are *not* part of the universe, numerically
   identical to append-then-score-then-retire (out-of-vocabulary query
   tokens count toward set sizes but intersect nothing).
+
+Corpus rows and external token sets share one scoring kernel: both
+become a CSR query block in the engine's column space, and Cosine/Dice
+everywhere — including the Generalized Jaccard cosine prefilter, exact
+subset ranking and the pair featurizer — come from
+:func:`~repro.similarity.features.cosine_dice_scores`.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -62,7 +69,9 @@ from repro.similarity.features import (
     JaroWinklerTable,
     TokenIdRows,
     TokenIdSpace,
+    cosine_dice_scores,
     generalized_jaccard_batch,
+    token_incidence,
 )
 from repro.similarity.signatures import RowSignatures
 from repro.text.tokenize import tokenize
@@ -72,6 +81,20 @@ __all__ = ["SimilarityEngine"]
 _GEN_JACCARD_PREFILTER = 48
 _BATCH_ROWS = 256  # cap on dense (queries x universe) score blocks
 _GJ_CACHE_ENTRIES = 1 << 20  # per-corpus Generalized-Jaccard pair cache bound
+
+
+def _canonical_ids(token_sets: Sequence[set[str]]) -> np.ndarray:
+    """One id per distinct token set, numbered in first-seen order.
+
+    Rows with identical token sets share an id, so the Generalized-Jaccard
+    pair cache (bounded, lock-protected, shared with every view) dedupes
+    duplicate titles.
+    """
+    canon: dict[frozenset, int] = {}
+    return np.array(
+        [canon.setdefault(frozenset(tokens), len(canon)) for tokens in token_sets],
+        dtype=np.intp,
+    )
 
 
 def _grow(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -159,21 +182,7 @@ class SimilarityEngine:
             set(tokenize(title)) for title in self.titles
         ]
 
-        vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(self.token_sets):
-            for token in tokens:
-                col = vocabulary.setdefault(token, len(vocabulary))
-                rows.append(row)
-                cols.append(col)
-        n = len(self.titles)
-        self.vocabulary = vocabulary
-        self._matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n, max(len(vocabulary), 1)),
-            dtype=np.float64,
-        )
+        self.vocabulary, self._matrix = token_incidence(self.token_sets)
         self._set_sizes = np.array(
             [len(tokens) for tokens in self.token_sets], dtype=np.float64
         )
@@ -188,17 +197,7 @@ class SimilarityEngine:
         if embedding_model is not None:
             self._embeddings = embedding_model.embed_many(self.titles)
 
-        # Canonical id per distinct token set: rows with identical token
-        # sets share an id, so the Generalized-Jaccard pair cache (bounded,
-        # lock-protected, shared with every view) dedupes duplicate titles.
-        canon: dict[frozenset, int] = {}
-        self._token_keys = np.array(
-            [
-                canon.setdefault(frozenset(tokens), len(canon))
-                for tokens in self.token_sets
-            ],
-            dtype=np.intp,
-        )
+        self._token_keys = _canonical_ids(self.token_sets)
         self._gj_cache = BoundedPairCache(gj_cache_entries)
         self._jw_table = JaroWinklerTable()
         self._init_mutation_state(embedding_model=embedding_model)
@@ -336,26 +335,7 @@ class SimilarityEngine:
         token_sets = [
             tokens for engine in engines for tokens in engine.token_sets
         ]
-        vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(token_sets):
-            for token in tokens:
-                cols.append(vocabulary.setdefault(token, len(vocabulary)))
-                rows.append(row)
-        matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(titles), max(len(vocabulary), 1)),
-            dtype=np.float64,
-        )
-        canon: dict[frozenset, int] = {}
-        token_keys = np.array(
-            [
-                canon.setdefault(frozenset(tokens), len(canon))
-                for tokens in token_sets
-            ],
-            dtype=np.intp,
-        )
+        vocabulary, matrix = token_incidence(token_sets)
         combined = cls._from_parts(
             titles=titles,
             token_sets=token_sets,
@@ -369,7 +349,7 @@ class SimilarityEngine:
                 if prefilter is None
                 else prefilter
             ),
-            token_keys=token_keys,
+            token_keys=_canonical_ids(token_sets),
             gj_cache=BoundedPairCache(gj_cache_entries),
         )
         combined.vocabulary = vocabulary
@@ -689,10 +669,46 @@ class SimilarityEngine:
             )
         return self._embeddings
 
-    def _intersections_batch(self, query_rows: np.ndarray) -> np.ndarray:
-        """Token-intersection counts of each query row with all titles."""
-        block = self._matrix[query_rows] @ self._matrix.T
-        return np.asarray(block.todense())
+    def _score_queries(
+        self,
+        query_matrix: csr_matrix,
+        query_sizes: np.ndarray,
+        metric: str,
+        gj: tuple[TokenIdRows, np.ndarray, TokenIdSpace, BoundedPairCache | None]
+        | None = None,
+    ) -> np.ndarray:
+        """The one query-vs-universe scoring loop over token metrics.
+
+        ``query_matrix`` holds the queries as CSR rows in this engine's
+        column space and ``query_sizes`` their token-set sizes — corpus
+        rows and external token sets alike.  Generalized Jaccard also
+        needs ``gj``: the queries' id rows, canonical keys, token space
+        and set-pair cache (see :meth:`_generalized_jaccard_block`).
+        Chunked by ``_BATCH_ROWS`` so the dense block stays bounded.
+        """
+        out = np.empty((query_matrix.shape[0], len(self)), dtype=np.float64)
+        sizes = self._set_sizes[None, :]
+        for start in range(0, query_matrix.shape[0], _BATCH_ROWS):
+            stop = start + _BATCH_ROWS
+            intersections = np.asarray(
+                (query_matrix[start:stop] @ self._matrix.T).todense()
+            )
+            chunk_sizes = query_sizes[start:stop, None]
+            if metric == "generalized_jaccard":
+                ids, keys, space, cache = gj
+                out[start:stop] = self._generalized_jaccard_block(
+                    ids[start:stop],
+                    keys[start:stop],
+                    space,
+                    intersections,
+                    chunk_sizes,
+                    cache=cache,
+                )
+            else:
+                out[start:stop] = cosine_dice_scores(
+                    metric, intersections, chunk_sizes, sizes
+                )
+        return out
 
     def scores_batch(self, query_indices: Sequence[int], metric: str) -> np.ndarray:
         """``(len(queries), len(universe))`` similarity block for ``metric``.
@@ -707,42 +723,18 @@ class SimilarityEngine:
             return np.zeros((0, len(self)), dtype=np.float64)
         if metric == "lsa_embedding":
             embeddings = self._require_embeddings()
-            raw = embeddings[queries] @ embeddings.T
-            return np.clip(raw, 0.0, 1.0)
-        if metric not in ("cosine", "dice", "generalized_jaccard"):
-            raise ValueError(f"unknown metric: {metric!r}")
-
-        out = np.empty((queries.size, len(self)), dtype=np.float64)
-        sizes = self._set_sizes
-        for start in range(0, queries.size, _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            intersections = self._intersections_batch(chunk)
-            query_sizes = sizes[chunk][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    scores = intersections / np.sqrt(
-                        np.maximum(sizes[None, :] * query_sizes, 1e-12)
-                    )
-                elif metric == "dice":
-                    denominator = sizes[None, :] + query_sizes
-                    scores = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    # Reference semantics: two empty token sets are identical.
-                    scores = np.where(denominator == 0.0, 1.0, scores)
-                else:
-                    scores = self._generalized_jaccard_block(
-                        self._token_ids()[chunk],
-                        self._token_keys[chunk],
-                        self._token_space(),
-                        intersections,
-                        query_sizes,
-                        cache=self._gj_cache,
-                    )
-            out[start : start + _BATCH_ROWS] = np.nan_to_num(scores, nan=0.0)
-        return out
-
-    def scores(self, query_index: int, metric: str) -> np.ndarray:
-        """Similarity of one query title to every title in the universe."""
-        return self.scores_batch([query_index], metric)[0]
+            return np.clip(embeddings[queries] @ embeddings.T, 0.0, 1.0)
+        gj = None
+        if metric == "generalized_jaccard":
+            gj = (
+                self._token_ids()[queries],
+                self._token_keys[queries],
+                self._token_space(),
+                self._gj_cache,
+            )
+        return self._score_queries(
+            self._matrix[queries], self._set_sizes[queries], metric, gj
+        )
 
     def _token_ids(self) -> TokenIdRows:
         """Every row's token ids, straight from the incidence matrix."""
@@ -793,8 +785,8 @@ class SimilarityEngine:
         sizes = self._set_sizes
         union = np.maximum(sizes[None, :] + query_sizes - intersections, 1e-12)
         scores = intersections / union
-        cosine = intersections / np.sqrt(
-            np.maximum(sizes[None, :] * query_sizes, 1e-12)
+        cosine = cosine_dice_scores(
+            "cosine", intersections, sizes[None, :], query_sizes
         )
         # Retired rows never occupy prefilter slots: a cold rebuild of
         # the live corpus has no such columns, and the delta-parity pin
@@ -852,34 +844,28 @@ class SimilarityEngine:
             chosen = valid[order]
         return [int(i) for i in chosen]
 
-    def top_k_batch(
+    def _top_k_chunks(
         self,
-        query_indices: Sequence[int],
-        metric: str,
-        *,
+        n_queries: int,
+        score_chunk: Callable[[int, int], np.ndarray],
         k: int,
-        exclude: np.ndarray | None = None,
-        exclude_groups: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list[list[int]]:
-        """Per-query top-``k`` most similar titles under ``metric``.
+    ) -> list[tuple[list[int], np.ndarray]]:
+        """Per-query ``(indices, scores)`` top-``k`` with retired rows masked.
 
-        ``exclude`` is an optional boolean mask, either one row of shape
-        ``(len(universe),)`` shared by all queries or one row per query of
-        shape ``(len(queries), len(universe))``.  ``exclude_groups`` is the
-        memory-bounded alternative for the common "skip my own cluster"
-        case: a ``(query_group_ids, universe_group_ids)`` pair of integer
-        arrays under which each query excludes every universe row sharing
-        its group id.  The comparison happens per score chunk, so no
-        ``(len(queries), len(universe))`` boolean matrix is ever
-        materialized.  Each query always excludes itself.
+        ``score_chunk(start, stop)`` returns the score block of queries
+        ``start:stop`` with any query-specific exclusions already set to
+        ``-inf``; chunking by ``_BATCH_ROWS`` keeps that block bounded
+        regardless of the number of queries.
         """
-        return [
-            indices
-            for indices, _ in self.top_k_scores_batch(
-                query_indices, metric, k=k, exclude=exclude,
-                exclude_groups=exclude_groups,
-            )
-        ]
+        results: list[tuple[list[int], np.ndarray]] = []
+        for start in range(0, n_queries, _BATCH_ROWS):
+            block = score_chunk(start, start + _BATCH_ROWS)
+            if self._retired is not None:
+                block[:, self._retired] = -np.inf
+            for scores in block:
+                chosen = self._select_top_k(scores, k)
+                results.append((chosen, scores[chosen]))
+        return results
 
     def top_k_scores_batch(
         self,
@@ -890,65 +876,55 @@ class SimilarityEngine:
         exclude: np.ndarray | None = None,
         exclude_groups: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> list[tuple[list[int], np.ndarray]]:
-        """:meth:`top_k_batch` plus each candidate's similarity score.
+        """Per-query top-``k`` most similar titles under ``metric``.
 
         Returns one ``(indices, scores)`` pair per query with ``scores``
-        aligned to ``indices`` — the entry point for consumers (candidate
-        blocking) that need the ranked scores, not just the ranking.
+        aligned to ``indices``.  ``exclude`` is an optional boolean mask,
+        either one row of shape ``(len(universe),)`` shared by all queries
+        or one row per query of shape ``(len(queries), len(universe))``.
+        ``exclude_groups`` is the memory-bounded alternative for the
+        common "skip my own cluster" case: a ``(query_group_ids,
+        universe_group_ids)`` pair of integer arrays under which each
+        query excludes every universe row sharing its group id.  The
+        comparison happens per score chunk, so no ``(len(queries),
+        len(universe))`` boolean matrix is ever materialized.  Each query
+        always excludes itself, and retired rows are never returned.
         """
-        queries = list(query_indices)
+        queries = np.asarray(list(query_indices), dtype=np.intp)
         mask = None
         if exclude is not None:
             mask = np.asarray(exclude, dtype=bool)
             if mask.ndim == 1:
-                mask = np.broadcast_to(mask, (len(queries), len(self)))
+                mask = np.broadcast_to(mask, (queries.size, len(self)))
         query_groups = universe_groups = None
         if exclude_groups is not None:
             query_groups = np.asarray(exclude_groups[0]).ravel()
             universe_groups = np.asarray(exclude_groups[1]).ravel()
-            if query_groups.size != len(queries):
+            if query_groups.size != queries.size:
                 raise ValueError(
                     f"exclude_groups has {query_groups.size} query groups, "
-                    f"got {len(queries)} queries"
+                    f"got {queries.size} queries"
                 )
             if universe_groups.size != len(self):
                 raise ValueError(
                     f"exclude_groups covers {universe_groups.size} universe "
                     f"rows, engine has {len(self)}"
                 )
-        results: list[tuple[list[int], np.ndarray]] = []
-        # Chunked so the dense score block stays bounded regardless of the
-        # number of queries.
-        for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            block = self.scores_batch(chunk, metric)
-            if self._retired is not None:
-                block[:, self._retired] = -np.inf
-            if universe_groups is not None:
-                group_mask = (
-                    query_groups[start : start + _BATCH_ROWS, None]
-                    == universe_groups[None, :]
-                )
-                block[group_mask] = -np.inf
-            for row, query in enumerate(chunk):
-                scores = block[row]
-                scores[int(query)] = -np.inf
-                if mask is not None:
-                    scores[mask[start + row]] = -np.inf
-                chosen = self._select_top_k(scores, k)
-                results.append((chosen, scores[chosen]))
-        return results
 
-    def top_k(
-        self,
-        query_index: int,
-        metric: str,
-        *,
-        k: int,
-        exclude: np.ndarray | None = None,
-    ) -> list[int]:
-        """Indices of the ``k`` most similar titles under ``metric``."""
-        return self.top_k_batch([query_index], metric, k=k, exclude=exclude)[0]
+        def score_chunk(start: int, stop: int) -> np.ndarray:
+            chunk = queries[start:stop]
+            block = self.scores_batch(chunk, metric)
+            block[np.arange(chunk.size), chunk] = -np.inf
+            if mask is not None:
+                block[mask[start:stop]] = -np.inf
+            if universe_groups is not None:
+                same_group = (
+                    query_groups[start:stop, None] == universe_groups[None, :]
+                )
+                block[same_group] = -np.inf
+            return block
+
+        return self._top_k_chunks(queries.size, score_chunk, k)
 
     # ------------------------------------------------------------------ #
     # External queries: token sets outside the universe
@@ -997,11 +973,7 @@ class SimilarityEngine:
         """Call-local canonical keys past the corpus's: equal query sets
         share a key, and no key equals a corpus row's."""
         first = int(self._token_keys.max()) + 1 if len(self) else 0
-        canon: dict[frozenset, int] = {}
-        return np.array(
-            [first + canon.setdefault(frozenset(tokens), len(canon)) for tokens in token_sets],
-            dtype=np.int64,
-        )
+        return first + _canonical_ids(token_sets)
 
     def external_scores_batch(
         self, token_sets: Sequence[set[str]], metric: str
@@ -1023,45 +995,24 @@ class SimilarityEngine:
                 "external queries serve token metrics only (no external "
                 "title has a vector in the corpus-fitted LSA space)"
             )
-        if metric not in ("cosine", "dice", "generalized_jaccard"):
-            raise ValueError(f"unknown metric: {metric!r}")
         query_ids, extra = self._external_ids(queries)
-        query_matrix = self._external_matrix(query_ids)
-        all_sizes = query_ids.sizes().astype(np.float64)
+        gj = None
         if metric == "generalized_jaccard":
             # The set-pair cache stays out of it (the query keys are
             # call-local); token pairs within the vocabulary still go
             # through the shared JW table.
-            query_keys = self._external_keys(queries)
-            space = self._token_space().with_tokens(extra)
-        out = np.empty((len(queries), len(self)), dtype=np.float64)
-        sizes = self._set_sizes
-        for start in range(0, len(queries), _BATCH_ROWS):
-            stop = start + _BATCH_ROWS
-            chunk = query_matrix[start:stop]
-            intersections = np.asarray((chunk @ self._matrix.T).todense())
-            query_sizes = all_sizes[start:stop][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    scores = intersections / np.sqrt(
-                        np.maximum(sizes[None, :] * query_sizes, 1e-12)
-                    )
-                elif metric == "dice":
-                    denominator = sizes[None, :] + query_sizes
-                    scores = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    # Reference semantics: two empty token sets are identical.
-                    scores = np.where(denominator == 0.0, 1.0, scores)
-                else:
-                    scores = self._generalized_jaccard_block(
-                        query_ids[start:stop],
-                        query_keys[start:stop],
-                        space,
-                        intersections,
-                        query_sizes,
-                        cache=None,
-                    )
-            out[start:stop] = np.nan_to_num(scores, nan=0.0)
-        return out
+            gj = (
+                query_ids,
+                self._external_keys(queries),
+                self._token_space().with_tokens(extra),
+                None,
+            )
+        return self._score_queries(
+            self._external_matrix(query_ids),
+            query_ids.sizes().astype(np.float64),
+            metric,
+            gj,
+        )
 
     def external_top_k_batch(
         self, token_sets: Sequence[set[str]], metric: str, *, k: int
@@ -1074,16 +1025,13 @@ class SimilarityEngine:
         rows are excluded.
         """
         queries = [set(tokens) for tokens in token_sets]
-        results: list[tuple[list[int], np.ndarray]] = []
-        for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            block = self.external_scores_batch(chunk, metric)
-            if self._retired is not None:
-                block[:, self._retired] = -np.inf
-            for row in range(len(chunk)):
-                chosen = self._select_top_k(block[row], k)
-                results.append((chosen, block[row][chosen]))
-        return results
+        return self._top_k_chunks(
+            len(queries),
+            lambda start, stop: self.external_scores_batch(
+                queries[start:stop], metric
+            ),
+            k,
+        )
 
     # ------------------------------------------------------------------ #
     # Exact subset scoring (selection and splitting)
@@ -1106,22 +1054,15 @@ class SimilarityEngine:
             return self.generalized_jaccard_pairs(
                 np.full(candidates.size, query_index, dtype=np.intp), candidates
             )
-        query_row = self._matrix[query_index]
         intersections = np.asarray(
-            (self._matrix[candidates] @ query_row.T).todense()
+            (self._matrix[candidates] @ self._matrix[query_index].T).todense()
         ).ravel()
-        sizes = self._set_sizes[candidates]
-        query_size = self._set_sizes[query_index]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if metric == "cosine":
-                scores = intersections / np.sqrt(np.maximum(sizes * query_size, 1e-12))
-            elif metric == "dice":
-                scores = 2.0 * intersections / np.maximum(sizes + query_size, 1e-12)
-                # Reference semantics: two empty token sets are identical.
-                scores = np.where((sizes + query_size) == 0.0, 1.0, scores)
-            else:
-                raise ValueError(f"unknown metric: {metric!r}")
-        return np.nan_to_num(scores, nan=0.0)
+        return cosine_dice_scores(
+            metric,
+            intersections,
+            self._set_sizes[candidates],
+            self._set_sizes[query_index],
+        )
 
     def rank(
         self, query_index: int, candidate_indices: Sequence[int], metric: str
@@ -1162,21 +1103,12 @@ class SimilarityEngine:
                 )
                 matrix[upper_i, upper_j] = scores
                 matrix[upper_j, upper_i] = scores
-        elif metric in ("cosine", "dice"):
+        else:
             block = self._matrix[rows]
             intersections = np.asarray((block @ block.T).todense())
             sizes = self._set_sizes[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    matrix = intersections / np.sqrt(
-                        np.maximum(np.outer(sizes, sizes), 1e-12)
-                    )
-                else:
-                    denominator = sizes[:, None] + sizes[None, :]
-                    matrix = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    matrix = np.where(denominator == 0.0, 1.0, matrix)
-            matrix = np.nan_to_num(matrix, nan=0.0)
-        else:
-            raise ValueError(f"unknown metric: {metric!r}")
+            matrix = cosine_dice_scores(
+                metric, intersections, sizes[:, None], sizes[None, :]
+            )
         np.fill_diagonal(matrix, 1.0)
         return matrix

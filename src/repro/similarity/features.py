@@ -12,7 +12,10 @@ for *pair-shaped* workloads:
   come out of one sparse row-product per chunk instead of N Python calls,
   and :meth:`AttributeView.hashed_incidence` folds the view's vocabulary
   through a :class:`~repro.text.vectorize.HashingVectorizer` once so binary
-  hashed features are a sparse matmul away.
+  hashed features are a sparse matmul away.  Its Cosine/Dice columns and
+  every engine Cosine/Dice score come from :func:`cosine_dice_scores`,
+  and the engine and the view build their incidence with
+  :func:`token_incidence`.
 * :func:`levenshtein_similarity_batch` — a chunked NumPy edit-distance DP
   over padded char-code arrays.  The row recurrence's left-to-right
   dependency is resolved with a prefix-minimum scan, so each DP row is one
@@ -62,7 +65,9 @@ __all__ = [
     "TOKEN_METRICS",
     "TokenIdRows",
     "TokenIdSpace",
+    "cosine_dice_scores",
     "generalized_jaccard_batch",
+    "token_incidence",
     "levenshtein_similarity_batch",
     "jaro_winkler_similarity_batch",
 ]
@@ -72,6 +77,56 @@ TOKEN_METRICS = ("jaccard", "cosine", "dice", "overlap")
 _PAIR_CHUNK = 8192  # rows per sparse pair-product block
 _CHAR_CHUNK = 2048  # strings per char-kernel DP block
 _GREEDY_CELL_BUDGET = 1 << 23  # dense cells per greedy-matching block (~64 MB)
+
+
+def token_incidence(
+    token_sets: Sequence[set[str]],
+) -> tuple[dict[str, int], csr_matrix]:
+    """The token → column map and binary ``(rows, vocabulary)`` incidence.
+
+    Columns are numbered in first-seen order over the rows' iteration
+    order; an empty vocabulary still gets one (all-zero) column.
+    """
+    vocabulary: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    for row, tokens in enumerate(token_sets):
+        for token in tokens:
+            cols.append(vocabulary.setdefault(token, len(vocabulary)))
+            rows.append(row)
+    matrix = csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(len(token_sets), max(len(vocabulary), 1)),
+        dtype=np.float64,
+    )
+    return vocabulary, matrix
+
+
+def cosine_dice_scores(
+    metric: str,
+    intersections: np.ndarray,
+    sizes_a: np.ndarray,
+    sizes_b: np.ndarray,
+) -> np.ndarray:
+    """Cosine or Dice from token-intersection counts and set sizes.
+
+    The one implementation of both formulas: the arguments broadcast, so
+    aligned pairs, one query against a candidate subset and whole
+    (queries x universe) blocks all come through here.  Set sizes are
+    integral, so flooring the denominators at 1 only touches empty sets,
+    where the scalar references define Cosine with an empty side as 0.0
+    and Dice of two empty sets as 1.0.
+    """
+    if metric == "cosine":
+        return intersections / np.sqrt(np.maximum(sizes_a * sizes_b, 1.0))
+    if metric == "dice":
+        denominator = sizes_a + sizes_b
+        return np.where(
+            denominator == 0.0,
+            1.0,
+            2.0 * intersections / np.maximum(denominator, 1.0),
+        )
+    raise ValueError(f"unknown metric: {metric!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -91,21 +146,11 @@ class AttributeView:
         self.texts: list[str] = ["" if text is None else text for text in texts]
         self.present = np.array([bool(text) for text in self.texts], dtype=bool)
         token_sets = [set(tokenize(text)) for text in self.texts]
-        vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(token_sets):
-            for token in tokens:
-                cols.append(vocabulary.setdefault(token, len(vocabulary)))
-                rows.append(row)
+        vocabulary, matrix = token_incidence(token_sets)
         self._init_parts(
             token_sets,
             list(vocabulary),
-            csr_matrix(
-                (np.ones(len(rows)), (rows, cols)),
-                shape=(len(self.texts), max(len(vocabulary), 1)),
-                dtype=np.float64,
-            ),
+            matrix,
             np.array([len(tokens) for tokens in token_sets], dtype=np.float64),
         )
 
@@ -207,18 +252,8 @@ class AttributeView:
                         scores = np.where(
                             both_empty, 1.0, inter / np.maximum(union, 1.0)
                         )
-                    elif metric == "cosine":
-                        scores = np.where(
-                            any_empty,
-                            0.0,
-                            inter / np.sqrt(np.maximum(sizes_a * sizes_b, 1.0)),
-                        )
-                    elif metric == "dice":
-                        scores = np.where(
-                            both_empty,
-                            1.0,
-                            2.0 * inter / np.maximum(sizes_a + sizes_b, 1.0),
-                        )
+                    elif metric in ("cosine", "dice"):
+                        scores = cosine_dice_scores(metric, inter, sizes_a, sizes_b)
                     else:  # overlap
                         scores = np.where(
                             any_empty,

@@ -53,7 +53,7 @@ class TestCandidateBlocker:
         blocked = tiny_blocker.candidates(k=2)
         engine = tiny_blocker.engine
         for pair in blocked:
-            expected = engine.scores(pair.query_row, pair.metric)[
+            expected = engine.scores_batch([pair.query_row], pair.metric)[0][
                 pair.row_a if pair.query_row == pair.row_b else pair.row_b
             ]
             assert pair.score == pytest.approx(float(expected))
@@ -141,20 +141,26 @@ class TestEngineGroupExclusion:
         queries = list(range(len(titles)))
         dense = clusters[queries][:, None] == clusters[None, :]
         group_ids = np.unique(clusters, return_inverse=True)[1]
-        assert engine.top_k_batch(queries, "cosine", k=4, exclude=dense) == (
-            engine.top_k_batch(
-                queries, "cosine", k=4, exclude_groups=(group_ids, group_ids)
-            )
+        dense_results = engine.top_k_scores_batch(
+            queries, "cosine", k=4, exclude=dense
         )
+        group_results = engine.top_k_scores_batch(
+            queries, "cosine", k=4, exclude_groups=(group_ids, group_ids)
+        )
+        for (dense_rows, dense_scores), (group_rows, group_scores) in zip(
+            dense_results, group_results, strict=True
+        ):
+            assert dense_rows == group_rows
+            np.testing.assert_array_equal(dense_scores, group_scores)
 
     def test_exclude_groups_shape_validation(self):
         engine = SimilarityEngine(["alpha beta", "alpha gamma"])
         with pytest.raises(ValueError):
-            engine.top_k_batch(
+            engine.top_k_scores_batch(
                 [0], "cosine", k=1, exclude_groups=(np.array([0, 1]), np.array([0, 1]))
             )
         with pytest.raises(ValueError):
-            engine.top_k_batch(
+            engine.top_k_scores_batch(
                 [0], "cosine", k=1, exclude_groups=(np.array([0]), np.array([0]))
             )
 

@@ -260,16 +260,16 @@ class TestWideningInvariant:
     def test_short_initial_batch_still_widens(self, entries, monkeypatch):
         from repro.similarity.engine import SimilarityEngine
 
-        original = SimilarityEngine.top_k_batch
+        original = SimilarityEngine.top_k_scores_batch
         base_fetch = 1 + 8  # corner_negatives_per_offer + over-fetch
 
         def truncated(self, queries, metric, *, k, **kwargs):
             results = original(self, queries, metric, k=k, **kwargs)
             if k == base_fetch:  # only the initial batched search
-                return [r[:1] for r in results]
+                return [(rows[:1], scores[:1]) for rows, scores in results]
             return results
 
-        monkeypatch.setattr(SimilarityEngine, "top_k_batch", truncated)
+        monkeypatch.setattr(SimilarityEngine, "top_k_scores_batch", truncated)
         dataset = generate_pairs(
             entries, name="t", corner_negatives_per_offer=1,
             random_negatives_per_offer=0, rng=np.random.default_rng(11),

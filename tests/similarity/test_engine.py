@@ -13,11 +13,13 @@ import pytest
 
 from repro.similarity.embedding import LsaEmbeddingModel
 from repro.similarity.engine import SimilarityEngine
+from repro.similarity.features import TOKEN_METRICS
 from repro.similarity.token_based import (
     cosine_similarity,
     dice_similarity,
     generalized_jaccard_similarity,
 )
+from repro.text.tokenize import tokenize
 
 _VOCAB = [
     "exatron", "vortexdisk", "veltrix", "stormrider", "soniq", "tranquil",
@@ -35,9 +37,14 @@ def _random_titles(n: int, seed: int) -> list[str]:
     ]
 
 
+# Titles that tokenize to nothing: the Cosine/Dice ``denominator == 0``
+# branch (Dice 1.0, Cosine 0.0) and Generalized Jaccard's empty-set cases.
+_EMPTY_TITLES = ["", "!!! ---"]
+
+
 @pytest.fixture(scope="module")
 def titles():
-    return _random_titles(48, seed=1234)
+    return _random_titles(48, seed=1234) + _EMPTY_TITLES
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +66,23 @@ class TestScoreParity:
         ("generalized_jaccard", generalized_jaccard_similarity),
     ])
     def test_scores_batch_matches_reference(self, engine, titles, metric, reference):
-        block = engine.scores_batch(range(len(titles)), metric)
-        for i in range(len(titles)):
-            for j in range(len(titles)):
-                assert block[i, j] == pytest.approx(
-                    reference(titles[i], titles[j]), abs=1e-9
-                ), (metric, i, j)
+        n = len(titles)
+        block = engine.scores_batch(range(n), metric)
+        # The same titles as external token sets take the same kernel.
+        external = engine.external_scores_batch(
+            [set(tokenize(title)) for title in titles], metric
+        )
+        for i in range(n):
+            for j in range(n):
+                expected = reference(titles[i], titles[j])
+                assert block[i, j] == pytest.approx(expected, abs=1e-9), (metric, i, j)
+                assert external[i, j] == pytest.approx(expected, abs=1e-9), (
+                    metric, i, j,
+                )
+        if metric in TOKEN_METRICS:
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            features = engine.pair_features_batch(pairs, metrics=(metric,))
+            np.testing.assert_array_equal(features[:, 0], block.ravel())
 
     def test_embedding_scores_match_reference(self, engine, titles, model):
         block = engine.scores_batch(range(len(titles)), "lsa_embedding")
@@ -82,7 +100,7 @@ class TestScoreParity:
     def test_pairwise_matrix_matches_reference(
         self, engine, titles, metric, reference
     ):
-        indices = [3, 11, 17, 20, 29, 41]
+        indices = [3, 11, 17, 20, 29, 41, 48, 49]
         matrix = engine.pairwise_matrix(indices, metric)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0)
@@ -105,22 +123,25 @@ class TestScoreParity:
             "lsa_embedding": model.similarity,
         }
         reference = references[metric]
-        candidates = list(range(1, len(titles)))
-        ranked = engine.rank(0, candidates, metric)
-        assert len(ranked) == len(candidates)
-        expected = [
-            (pos, reference(titles[0], titles[candidate]))
-            for pos, candidate in enumerate(candidates)
-        ]
-        expected.sort(key=lambda item: (-item[1], item[0]))
-        for (got_pos, got_score), (want_pos, want_score) in zip(ranked, expected):
-            assert got_pos == want_pos
-            assert got_score == pytest.approx(want_score, abs=1e-9)
+        for query in (0, len(titles) - 1):  # a plain title, an empty one
+            candidates = [row for row in range(len(titles)) if row != query]
+            ranked = engine.rank(query, candidates, metric)
+            assert len(ranked) == len(candidates)
+            expected = [
+                (pos, reference(titles[query], titles[candidate]))
+                for pos, candidate in enumerate(candidates)
+            ]
+            expected.sort(key=lambda item: (-item[1], item[0]))
+            for (got_pos, got_score), (want_pos, want_score) in zip(
+                ranked, expected
+            ):
+                assert got_pos == want_pos
+                assert got_score == pytest.approx(want_score, abs=1e-9)
 
     def test_prefiltered_gen_jaccard_exact_on_top_candidates(self, titles, model):
         prefiltered = SimilarityEngine(titles, embedding_model=model, prefilter=8)
-        scores = prefiltered.scores(0, "generalized_jaccard")
-        cosine = prefiltered.scores(0, "cosine")
+        scores = prefiltered.scores_batch([0], "generalized_jaccard")[0]
+        cosine = prefiltered.scores_batch([0], "cosine")[0]
         top = np.argsort(-cosine, kind="stable")[:8]
         for candidate in top:
             assert scores[candidate] == pytest.approx(
@@ -145,23 +166,36 @@ class TestViewsAndBatches:
 
     def test_top_k_batch_matches_single_queries(self, engine):
         queries = list(range(0, len(engine), 2))
-        batched = engine.top_k_batch(queries, "cosine", k=5)
-        for query, expected in zip(queries, batched):
-            assert engine.top_k(query, "cosine", k=5) == expected
+        batched = engine.top_k_scores_batch(queries, "cosine", k=5)
+        block = engine.scores_batch(queries, "cosine")
+        for row, (query, (rows, scores)) in enumerate(zip(queries, batched)):
+            [(single_rows, single_scores)] = engine.top_k_scores_batch(
+                [query], "cosine", k=5
+            )
+            assert single_rows == rows
+            np.testing.assert_array_equal(single_scores, scores)
+            np.testing.assert_array_equal(scores, block[row, rows])
 
     def test_top_k_batch_with_per_query_masks(self, engine):
         queries = [0, 1, 2]
         exclude = np.zeros((3, len(engine)), dtype=bool)
         exclude[0, 1:10] = True
         exclude[2, :] = True
-        results = engine.top_k_batch(queries, "dice", k=4, exclude=exclude)
+        results = [
+            rows
+            for rows, _ in engine.top_k_scores_batch(
+                queries, "dice", k=4, exclude=exclude
+            )
+        ]
         assert all(candidate not in results[0] for candidate in range(1, 10))
         assert len(results[1]) == 4
         assert results[2] == []
 
     def test_empty_query_batch(self, engine):
         assert engine.scores_batch([], "cosine").shape == (0, len(engine))
-        assert engine.top_k_batch([], "cosine", k=3) == []
+        assert engine.top_k_scores_batch([], "cosine", k=3) == []
+        assert engine.external_scores_batch([], "cosine").shape == (0, len(engine))
+        assert engine.external_top_k_batch([], "cosine", k=3) == []
 
     def test_unknown_metric_raises(self, engine):
         with pytest.raises(ValueError):

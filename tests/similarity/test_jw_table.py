@@ -171,10 +171,13 @@ class TestBenchmarkHooks:
 
         engine = SimilarityEngine(_titles(120, seed=3), prefilter=12)
         queries = list(range(0, 120, 2))
-        first = engine.top_k_batch(queries, "generalized_jaccard", k=5)
-        assert engine.top_k_batch(queries, "generalized_jaccard", k=5) == first
+        first = engine.top_k_scores_batch(queries, "generalized_jaccard", k=5)
+        again = engine.top_k_scores_batch(queries, "generalized_jaccard", k=5)
+        for (rows, scores), (rows_again, scores_again) in zip(first, again):
+            assert rows_again == rows
+            np.testing.assert_array_equal(scores_again, scores)
         view = engine.view(np.arange(10, 90))
-        view.top_k_batch(list(range(0, 80, 3)), "generalized_jaccard", k=5)
+        view.top_k_scores_batch(list(range(0, 80, 3)), "generalized_jaccard", k=5)
 
         assert sum(requested) >= 2 * len(queries) * 12
         assert 0 < sum(distinct) <= sum(requested)
