@@ -23,7 +23,9 @@ shape materializes python lists (:class:`MergedCandidates`).  The
 out-of-core shape streams the *same* candidate iterator into a
 self-contained SQLite file (:class:`MergedCandidateStore` →
 ``merged.db``) whose dedup is an ``INSERT OR IGNORE`` over canonical
-unordered pair keys, and serves the result back as
+unordered pair keys.  Each candidate table streams through one
+``executemany`` and each distinct offer is written once; the first-win
+dedup is the same.  The file is served back as
 :class:`StoredMergedCandidates` — a lazy query view with windowed
 iteration and SQL aggregates, duck-type compatible with
 :class:`MergedCandidates` so recall and dataset consumers run unchanged
@@ -301,6 +303,14 @@ class MergedCandidateStore:
     candidate tables are unique over canonical unordered pair keys and
     rows arrive via ``INSERT OR IGNORE`` in canonical merge order, so
     the surviving rows equal the in-memory python-set dedup exactly.
+
+    Each :meth:`write` streams its table's rows through one
+    ``executemany`` in one transaction.  Offers are written once per
+    distinct id, in first-appearance order; the id set spans both tables,
+    which share the one ``offers`` table.  Writing the offers of every
+    streamed candidate, not just the surviving ones, changes nothing: a
+    duplicate that ``INSERT OR IGNORE`` drops has the same two offer ids
+    as the earlier row that won.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -311,6 +321,7 @@ class MergedCandidateStore:
         if self.path.exists():
             self.path.unlink()
         self._connection = sqlite3.connect(self.path)
+        self._written_offers: set[str] = set()
         self._connection.execute("PRAGMA journal_mode=MEMORY")
         self._connection.execute("PRAGMA synchronous=OFF")
         with self._connection:
@@ -331,35 +342,45 @@ class MergedCandidateStore:
     ) -> "StoredMergedCandidates":
         """Stream one candidate table and return its lazy query view."""
         table = _MERGED_TABLES[table_key]
-        connection = self._connection
-        with connection:
+        written = self._written_offers
+        # Every offer this table references, in first-appearance order.
+        # Ids join ``written`` only once the transaction commits, so a
+        # failed write leaves no offer behind as already written.
+        referenced: dict[str, ProductOffer] = {}
+
+        def rows() -> Iterator[tuple]:
             for candidate in candidates:
                 a = candidate.offer_a.offer_id
                 b = candidate.offer_b.offer_id
+                referenced.setdefault(a, candidate.offer_a)
+                referenced.setdefault(b, candidate.offer_b)
                 key_a, key_b = (a, b) if a <= b else (b, a)
-                inserted = connection.execute(
-                    f"INSERT OR IGNORE INTO {table} "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        key_a,
-                        key_b,
-                        a,
-                        b,
-                        candidate.label,
-                        candidate.score,
-                        candidate.metric,
-                        candidate.provenance,
-                    ),
-                ).rowcount
-                if inserted:
-                    connection.executemany(
-                        "INSERT OR IGNORE INTO offers "
-                        f"VALUES ({_OFFER_PLACEHOLDERS})",
-                        (
-                            offer_to_row(candidate.offer_a),
-                            offer_to_row(candidate.offer_b),
-                        ),
-                    )
+                yield (
+                    key_a,
+                    key_b,
+                    a,
+                    b,
+                    candidate.label,
+                    candidate.score,
+                    candidate.metric,
+                    candidate.provenance,
+                )
+
+        connection = self._connection
+        with connection:
+            connection.executemany(
+                f"INSERT OR IGNORE INTO {table} "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows(),
+            )
+            connection.executemany(
+                f"INSERT INTO offers VALUES ({_OFFER_PLACEHOLDERS})",
+                (
+                    offer_to_row(offer)
+                    for offer_id, offer in referenced.items()
+                    if offer_id not in written
+                ),
+            )
             for key, value in (
                 (f"{table_key}:k", str(int(k))),
                 (f"{table_key}:metrics", json.dumps(list(metrics))),
@@ -368,6 +389,7 @@ class MergedCandidateStore:
                 connection.execute(
                     "INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value)
                 )
+        written.update(referenced)
         return StoredMergedCandidates(
             self.path,
             table_key,

@@ -217,10 +217,19 @@ class TestResumeAndFallback:
         )
 
     def test_strict_open_of_corrupted_store_raises(self, tmp_path):
+        from dataclasses import replace
+
         from repro.io.store import open_store
 
+        # One shard store is all a strict open needs: no session, sweep
+        # or merge.
         root = tmp_path / "store"
-        _store_session(root).build()
+        config = replace(
+            _plan().shard_configs[0],
+            store_dir=str(root / "shard-0000"),
+            store_backend="sqlite",
+        )
+        _build_one_shard(config, shard=0, attempt=1, with_signatures=False)
         manifest_path = root / "shard-0000" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["files"]["shard.db"]["sha256"] = "0" * 64
