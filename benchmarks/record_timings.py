@@ -45,7 +45,7 @@ fault happens to occur in the wild.
 ``--store-rss N`` runs the out-of-core memory probe (the ``store``
 section, gated by ``check_regression.py``): the same N-shard
 default-scale session twice — once in-memory (workers return whole
-``BuildArtifacts``), once store-backed (``store_backend="sqlite"``:
+``BuildArtifacts``), once store-backed (``store_dir=``:
 workers persist into the artifact store and return path handles, the
 parent opens shards lazily over mmap and streams merged candidates into
 SQLite).  Each run happens in its own spawned subprocess so
@@ -437,7 +437,7 @@ def _store_rss_probe(
     )
     kwargs: dict = {}
     if mode == "sqlite":
-        kwargs = {"store_dir": store_dir, "store_backend": "sqlite"}
+        kwargs = {"store_dir": store_dir}
     session = ShardedBenchmarkSession(plan, executor="process", **kwargs)
     phases: dict[str, int] = {}
     baseline = peak_kb()

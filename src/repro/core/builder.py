@@ -85,27 +85,18 @@ class BuildConfig:
     # matcher training and blocking-recall evaluation.
     blocking_top_k: int = 0
     blocking_metrics: tuple[str, ...] = ("cosine",)
-    # Out-of-core artifact store.  With ``store_backend="sqlite"`` and a
-    # ``store_dir``, the build runs a final timed ``store`` stage that
-    # persists the artifacts into an SQLite + mmap-sidecar store at that
-    # directory (see :mod:`repro.io.store`) — the layout shard workers
-    # hand back by path instead of pickling artifacts through the pool.
-    # The default ``"pickle"`` backend keeps the historical in-memory
-    # behaviour (whole-object payloads, no store stage).
+    # Out-of-core artifact store.  With a ``store_dir``, the build runs a
+    # final timed ``store`` stage that persists the artifacts into an
+    # SQLite + mmap-sidecar store at that directory (see
+    # :mod:`repro.io.store`) — the layout shard workers hand back by path
+    # instead of pickling artifacts through the pool.  ``None`` (the
+    # default) keeps the artifacts in memory only, with no store stage.
     store_dir: str | None = None
-    store_backend: str = "pickle"
 
     def __post_init__(self) -> None:
         validate_metric_names(
             self.blocking_metrics, context="BuildConfig.blocking_metrics"
         )
-        if self.store_backend not in ("pickle", "sqlite"):
-            raise ValueError(
-                f"store_backend must be 'pickle' or 'sqlite', got "
-                f"{self.store_backend!r}"
-            )
-        if self.store_backend == "sqlite" and not self.store_dir:
-            raise ValueError("store_backend='sqlite' requires store_dir")
 
     @classmethod
     def small(cls, *, seed: int = 42, **overrides) -> "BuildConfig":
@@ -494,7 +485,7 @@ def build_one_corpus(config: BuildConfig) -> BuildArtifacts:
         _merge_ratio(artifacts, result)
         timings[f"ratio:{result.corner_cases.label}"] = result.elapsed
 
-    if config.store_dir and config.store_backend == "sqlite":
+    if config.store_dir is not None:
         # Deferred import: repro.core.__init__ imports this module, and
         # repro.io.store imports core submodules — a module-level import
         # here would make the cycle real.

@@ -21,9 +21,6 @@ hierarchy encodes those three classes:
   :class:`ShardTimeoutError` (wall-clock budget exceeded) and
   :class:`ShardRetriesExhaustedError` (budget spent, final state) refine
   it.
-* :class:`CheckpointError` — a shard checkpoint that exists but cannot
-  be trusted (manifest/payload fingerprint mismatch) when the caller
-  asked for strict verification.
 * :class:`StoreError` — an on-disk artifact store that refuses to open:
   truncated sidecar, schema-version mismatch, manifest/sha mismatch, or
   a concurrent second writer holding the store's write lock.
@@ -56,7 +53,6 @@ __all__ = [
     "ShardCrashError",
     "ShardTimeoutError",
     "ShardRetriesExhaustedError",
-    "CheckpointError",
     "StoreError",
     "ServiceError",
     "ServiceOverloadError",
@@ -202,10 +198,6 @@ class ShardRetriesExhaustedError(ShardBuildError):
     surfaces this, under ``"degrade"`` it is recorded in the
     :class:`~repro.shard.supervisor.SessionHealth` report instead.
     """
-
-
-class CheckpointError(ReproError):
-    """A shard checkpoint exists but failed verification."""
 
 
 class StoreError(ReproError):

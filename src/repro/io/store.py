@@ -1,11 +1,12 @@
 """The out-of-core artifact store: SQLite schema + mmap sidecar arrays.
 
-Everything a shard build produces used to live as one whole-object
-pickle, which forced three expensive shapes on the session layer: worker
-processes returned multi-hundred-MB ``BuildArtifacts`` graphs through the
-pool, the parent held every shard's graph at once, and resume
-verification re-read entire payloads into memory.  This module replaces
-the pickle payload with a *queryable* on-disk layout per shard::
+Everything a shard build produces is one large object graph.  Held as
+such it forces three expensive shapes on the session layer: worker
+processes return multi-hundred-MB ``BuildArtifacts`` graphs through the
+pool, the parent holds every shard's graph at once, and resume
+verification re-reads entire payloads into memory.  This module gives
+each shard a *queryable* on-disk layout instead — the one format shard
+checkpoints are written in::
 
     <shard dir>/
       manifest.json            # commit point: schema, fingerprints,
@@ -81,6 +82,7 @@ __all__ = [
     "verify_store",
     "open_store",
     "amend_manifest",
+    "clear_stale_lock",
     "config_fingerprint",
     "offer_to_row",
     "row_to_offer",
@@ -137,10 +139,14 @@ def config_fingerprint(config: "BuildConfig") -> str:
     """sha256 over the config's stable JSON projection.
 
     Two configs fingerprint equally iff every field (nested dataclasses,
-    enums and tuples included) is equal — the identity a checkpoint or
-    store is keyed on.
+    enums and tuples included) except ``store_dir`` is equal — the
+    identity a checkpoint or store is keyed on.  ``store_dir`` only says
+    where the store sits on disk, so a copied or moved store still
+    resumes; the manifest's ``config`` record keeps it.
     """
-    payload = json.dumps(_jsonable(config), sort_keys=True).encode()
+    projection = _jsonable(config)
+    projection.pop("store_dir", None)
+    payload = json.dumps(projection, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -200,6 +206,17 @@ def _writer_lock(directory: Path):
             os.unlink(lock_path)
         except OSError:
             pass
+
+
+def clear_stale_lock(directory: Path | str) -> None:
+    """Remove a ``writer.lock`` left behind by a killed writer.
+
+    Only for a caller that owns ``directory`` exclusively — a shard
+    build attempt or a checkpoint save (the supervisor never runs two
+    attempts of one shard at once), for whom a present lock can only be
+    debris that would otherwise make the rebuild refuse itself.
+    """
+    Path(directory, _LOCK).unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------- #

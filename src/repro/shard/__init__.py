@@ -19,12 +19,7 @@ blocks before any engine concatenation — see
 restores the historical full bipartite sweep.
 """
 
-from repro.shard.checkpoint import (
-    CHECKPOINT_BACKENDS,
-    CHECKPOINT_SCHEMA,
-    ShardCheckpointStore,
-    config_fingerprint,
-)
+from repro.shard.checkpoint import ShardCheckpointStore, config_fingerprint
 from repro.shard.faults import (
     FAULT_KINDS,
     FAULT_PLAN_ENV,
@@ -93,8 +88,6 @@ __all__ = [
     "FAILURE_POLICIES",
     "ShardCheckpointStore",
     "config_fingerprint",
-    "CHECKPOINT_SCHEMA",
-    "CHECKPOINT_BACKENDS",
     "FaultPlan",
     "FaultSpec",
     "FAULT_KINDS",

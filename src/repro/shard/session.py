@@ -471,15 +471,20 @@ class ShardedBenchmarkSession:
     ``checkpoint_dir`` enables per-shard crash-resume checkpoints, and
     ``fault_plan`` / ``sleep`` are test-only injection points.
 
-    ``store_dir`` + ``store_backend="sqlite"`` switch the session
-    out-of-core: each worker persists its shard into the queryable
-    artifact store (:mod:`repro.io.store`) and returns only a path
-    handle + signature summary across the pool boundary — the parent
-    opens shards lazily (mmap engine, SQL-backed benchmark/splits) and
-    the sweep streams merged candidates into ``<store_dir>/merged.db``
+    Checkpoints are artifact stores (:mod:`repro.io.store`).  With
+    ``checkpoint_dir`` alone, workers return their shards in memory and
+    the parent writes each one into its store; a resumed shard comes
+    back as a lazily-opened :class:`~repro.io.store.StoredShard`.
+
+    ``store_dir`` switches the session out-of-core: each worker persists
+    its shard into the store itself and returns only a path handle +
+    signature summary across the pool boundary — the parent opens
+    shards lazily (mmap engine, SQL-backed benchmark/splits) and the
+    sweep streams merged candidates into ``<store_dir>/merged.db``
     instead of materializing them.  The store doubles as the
     crash-resume checkpoint, so ``checkpoint_dir``, when also given,
-    must name the same directory.
+    must name the same directory.  ``store_backend`` accepts only
+    ``"sqlite"``, the one format left.
     """
 
     def __init__(
@@ -500,7 +505,7 @@ class ShardedBenchmarkSession:
         failure_policy: str = "raise",
         checkpoint_dir: Path | str | None = None,
         store_dir: Path | str | None = None,
-        store_backend: str = "pickle",
+        store_backend: str = "sqlite",
         fault_plan: FaultPlan | None = None,
         sleep=time.sleep,
     ) -> None:
@@ -525,19 +530,11 @@ class ShardedBenchmarkSession:
             timeout=shard_timeout,
         )
         self.failure_policy = failure_policy
-        if store_backend not in ("pickle", "sqlite"):
+        if store_backend != "sqlite":
             raise ValueError(
-                "store_backend must be one of ('pickle', 'sqlite'), got "
-                f"{store_backend!r}"
+                f"store_backend must be 'sqlite', got {store_backend!r}: "
+                "the pickle backend was removed"
             )
-        if store_backend == "sqlite" and store_dir is None:
-            raise ValueError("store_backend='sqlite' requires store_dir")
-        if store_dir is not None and store_backend != "sqlite":
-            raise ValueError(
-                "store_dir requires store_backend='sqlite' (the pickle "
-                "backend persists via checkpoint_dir)"
-            )
-        self.store_backend = store_backend
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -614,20 +611,15 @@ class ShardedBenchmarkSession:
         configs = list(self.plan.shard_configs)
         store = None
         if self.checkpoint_dir is not None:
-            store = ShardCheckpointStore(
-                self.checkpoint_dir, backend=self.store_backend
-            )
+            store = ShardCheckpointStore(self.checkpoint_dir)
         if self.store_dir is not None:
             # Out-of-core mode: each worker writes its shard store into
             # its own directory and returns a path handle — the rewrite
-            # happens *before* supervision so retries, checkpoints and
-            # config fingerprints all see the store-backed config.
+            # happens *before* supervision so retries and checkpoints
+            # see the store-backed config (fingerprints leave store_dir
+            # out, so a moved store still resumes).
             configs = [
-                replace(
-                    config,
-                    store_dir=str(store.shard_dir(shard)),
-                    store_backend="sqlite",
-                )
+                replace(config, store_dir=str(store.shard_dir(shard)))
                 for shard, config in enumerate(configs)
             ]
         supervisor = ShardSupervisor(

@@ -40,7 +40,6 @@ a killed session resumes by rebuilding only what is missing.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -57,7 +56,7 @@ from repro.errors import (
     ShardRetriesExhaustedError,
     ShardTimeoutError,
 )
-from repro.io.store import StoredShardHandle
+from repro.io.store import StoredShardHandle, clear_stale_lock
 from repro.shard.checkpoint import ShardCheckpointStore
 from repro.shard.faults import FaultPlan
 from repro.similarity.signatures import RowSignatures
@@ -241,24 +240,13 @@ def _build_one_shard(
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     if plan is not None:
         plan.inject(shard, attempt)
-    store_backed = (
-        config.store_dir is not None and config.store_backend == "sqlite"
-    )
-    if store_backed:
-        # This worker owns the shard's store directory exclusively (the
-        # supervisor never runs two attempts of one shard concurrently),
-        # so a present writer.lock can only be stale debris from a
-        # killed prior attempt — clear it or the rebuild refuses itself.
-        stale_lock = Path(config.store_dir) / "writer.lock"
-        try:
-            stale_lock.unlink()
-        except OSError:
-            pass
+    if config.store_dir is not None:
+        clear_stale_lock(config.store_dir)
     artifacts = build_one_corpus(config)
     summary = None
     if with_signatures and artifacts.engine is not None:
         summary = RowSignatures.from_engine(artifacts.engine)
-    if store_backed:
+    if config.store_dir is not None:
         # Lazy-open contract: only the summary and a two-field handle
         # cross the pool boundary back to the parent — never the built
         # artifact graph (build_one_corpus already persisted the store).
@@ -513,15 +501,12 @@ class ShardSupervisor:
                     )
                 load_seconds += timer.elapsed
                 if loaded is not None:
-                    artifacts, summary, manifest = loaded
-                    if self.with_signatures and summary is None:
-                        # Checkpoint written by an exhaustive-mode session;
-                        # the sweep fills missing summaries on demand.
-                        pass
+                    # The sweep rebuilds signature summaries on demand
+                    # from the stored shard's mmap engine.
                     outcomes[shard] = ShardOutcome(
                         shard=shard,
-                        artifacts=artifacts,
-                        summary=summary,
+                        artifacts=loaded[0],
+                        summary=None,
                         attempts=(),
                         source="checkpoint",
                         config=config,
@@ -585,9 +570,7 @@ class ShardSupervisor:
                                     self.checkpoint_store.save(
                                         shard,
                                         artifacts,
-                                        summary,
                                         base_config=self.configs[shard],
-                                        built_config=state.config,
                                         attempt=state.attempt,
                                         elapsed=build_elapsed,
                                     )

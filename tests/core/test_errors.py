@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.errors import (
-    CheckpointError,
     CornerSelectionError,
     ReproError,
     ShardBuildError,
@@ -84,6 +83,3 @@ class TestShardBuildErrors:
         error = ShardBuildError("bare")
         assert error.shard is None and error.attempt is None
         assert error.stage is None and error.elapsed is None
-
-    def test_checkpoint_error_is_a_repro_error(self):
-        assert issubclass(CheckpointError, ReproError)

@@ -1,17 +1,18 @@
 """The store-backed session: parity, lazy worker opens, resume, fallback.
 
-The acceptance contract of the out-of-core refactor: a
-``store_backend="sqlite"`` session must be *byte-identical* to the
-in-memory pickle path — same merged candidate fingerprint, same merged
-benchmark fingerprint, across serial and process execution — while
-never shipping a ``BuildArtifacts`` across the pool boundary (workers
-return :class:`~repro.io.store.StoredShardHandle` path handles), and a
+The acceptance contract of the out-of-core refactor: a ``store_dir``
+session must be *byte-identical* to the in-memory path — same merged
+candidate fingerprint, same merged benchmark fingerprint, across serial
+and process execution — while never shipping a ``BuildArtifacts`` across
+the pool boundary (workers return
+:class:`~repro.io.store.StoredShardHandle` path handles), and a
 corrupted shard store must fall back to a rebuild in session mode while
 strict opens raise :class:`~repro.errors.StoreError`.
 """
 
 import hashlib
 import json
+import shutil
 import sqlite3
 
 import pytest
@@ -29,7 +30,7 @@ from repro.shard.supervisor import _build_one_shard
 
 # The same geometry and sha256 pins as tests/shard/test_session.py: the
 # store-backed path must land on the byte-identical merged results the
-# in-memory pickle path is pinned to.
+# in-memory path is pinned to.
 N_SHARDS = 3
 SWEEP_K = 10
 EXPECTED_MERGED_SHA256 = (
@@ -76,7 +77,6 @@ def _store_session(store_dir, executor="serial", **kwargs):
         sweep_k=SWEEP_K,
         executor=executor,
         store_dir=store_dir,
-        store_backend="sqlite",
         **kwargs,
     )
 
@@ -166,7 +166,6 @@ class TestLazyWorkerOpens:
         config = replace(
             _plan().shard_configs[0],
             store_dir=str(tmp_path / "shard-0000"),
-            store_backend="sqlite",
         )
         artifacts, summary, elapsed = _build_one_shard(
             config, shard=0, attempt=1, with_signatures=True
@@ -199,9 +198,27 @@ class TestResumeAndFallback:
             == EXPECTED_MERGED_SHA256
         )
 
-    def test_corrupted_store_falls_back_to_rebuild(self, tmp_path):
+    def test_copied_store_resumes_every_shard(
+        self, store_root, store_session, tmp_path
+    ):
+        # Resume identity ignores where the store sits on disk: a store
+        # copied elsewhere resumes exactly like the original.
+        root = tmp_path / "copy"
+        shutil.copytree(store_root / "serial", root)
+        session = _store_session(root).build()
+        assert session.health.statuses == {
+            0: "checkpoint", 1: "checkpoint", 2: "checkpoint",
+        }
+        assert (
+            _candidates_fingerprint(session.merged_candidates)
+            == EXPECTED_MERGED_SHA256
+        )
+
+    def test_corrupted_store_falls_back_to_rebuild(
+        self, store_root, store_session, tmp_path
+    ):
         root = tmp_path / "store"
-        _store_session(root).build()
+        shutil.copytree(store_root / "serial", root)
         # Corrupt one shard's sidecar: the next session must rebuild
         # that shard (not crash, not trust the torn store) and still
         # land on the pinned fingerprint.
@@ -227,7 +244,6 @@ class TestResumeAndFallback:
         config = replace(
             _plan().shard_configs[0],
             store_dir=str(root / "shard-0000"),
-            store_backend="sqlite",
         )
         _build_one_shard(config, shard=0, attempt=1, with_signatures=False)
         manifest_path = root / "shard-0000" / "manifest.json"
@@ -239,14 +255,6 @@ class TestResumeAndFallback:
 
 
 class TestValidation:
-    def test_sqlite_requires_store_dir(self):
-        with pytest.raises(ValueError, match="requires store_dir"):
-            ShardedBenchmarkSession(_plan(), store_backend="sqlite")
-
-    def test_store_dir_requires_sqlite(self, tmp_path):
-        with pytest.raises(ValueError, match="store_backend='sqlite'"):
-            ShardedBenchmarkSession(_plan(), store_dir=tmp_path)
-
     def test_conflicting_checkpoint_dir(self, tmp_path):
         with pytest.raises(ValueError, match="must agree"):
             ShardedBenchmarkSession(
@@ -270,9 +278,12 @@ class TestValidation:
             ShardedBenchmarkSession(
                 _plan(), store_dir=tmp_path, store_backend="parquet"
             )
+        with pytest.raises(ValueError, match="pickle backend was removed"):
+            ShardedBenchmarkSession(_plan(), store_backend="pickle")
 
     def test_build_config_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="store_dir"):
-            BuildConfig.small(store_backend="sqlite")
-        with pytest.raises(ValueError, match="store_backend"):
-            BuildConfig.small(store_dir=str(tmp_path), store_backend="csv")
+        # store_dir alone selects the store; there is no backend field.
+        config = BuildConfig.small(store_dir=str(tmp_path))
+        assert config.store_dir == str(tmp_path)
+        with pytest.raises(TypeError, match="store_backend"):
+            BuildConfig.small(store_dir=str(tmp_path), store_backend="sqlite")

@@ -1,21 +1,24 @@
 """The shard supervisor: retry classification, backoff, timeouts, pools.
 
 These tests exercise supervision mechanics with a lightweight fake build
-function (module-level, so process pools can pickle it) — real-session
-fault tolerance, with actual corpus builds and the pinned determinism
-hashes, lives in ``test_session.py``.
+function (module-level, so process pools can pickle it); checkpoint
+round trips use one small real build, since a checkpoint is an artifact
+store.  Real-session fault tolerance, with actual corpus builds and the
+pinned determinism hashes, lives in ``test_session.py``.
 """
 
+import functools
 import time
 
 import pytest
 
-from repro.core import BuildConfig
+from repro.core import BenchmarkBuilder, BuildConfig
 from repro.errors import (
     ShardBuildError,
     ShardCrashError,
     ShardRetriesExhaustedError,
 )
+from repro.io.store import StoredShard
 from repro.shard import (
     FaultPlan,
     FaultSpec,
@@ -50,6 +53,18 @@ def _slow_then_fast_build(
 
 def _buggy_build(config, *, shard, attempt, with_signatures, fault_plan=None):
     raise ValueError("boom: a genuine code bug")
+
+
+@functools.lru_cache(maxsize=1)
+def _small_artifacts():
+    return BenchmarkBuilder(BuildConfig.small(n_products=30)).build()
+
+
+def _artifacts_build(
+    config, *, shard, attempt, with_signatures, fault_plan=None
+):
+    """Real artifacts (built once per process) a checkpoint can store."""
+    return _small_artifacts(), None, 0.01
 
 
 def _never_build(config, *, shard, attempt, with_signatures, fault_plan=None):
@@ -264,7 +279,9 @@ class TestCheckpointsThroughSupervisor:
     def test_second_run_loads_instead_of_building(self, tmp_path):
         configs = _configs()
         first = _supervisor(
-            configs, checkpoint_store=ShardCheckpointStore(tmp_path)
+            configs,
+            checkpoint_store=ShardCheckpointStore(tmp_path),
+            build_fn=_artifacts_build,
         )
         first_outcomes = first.run()
         assert all(o.source == "built" for o in first_outcomes)
@@ -280,7 +297,12 @@ class TestCheckpointsThroughSupervisor:
         )
         outcomes = second.run()
         assert all(o.source == "checkpoint" for o in outcomes)
-        assert outcomes[2].artifacts == first_outcomes[2].artifacts
+        resumed = outcomes[2].artifacts
+        assert isinstance(resumed, StoredShard)
+        assert [offer.offer_id for offer in resumed.cleansed.offers] == [
+            offer.offer_id
+            for offer in first_outcomes[2].artifacts.cleansed.offers
+        ]
         assert "checkpoint:load" in second.stage_timings
         health = second.health(outcomes)
         assert health.checkpoints_loaded == 3
