@@ -11,9 +11,10 @@ mutation of a guarded attribute outside a lock block is a finding
 the instance is not yet shared.
 
 This is exactly the invariant ``BoundedPairCache`` relies on: its
-``_data`` LRU map is shared by thread-parallel ratio builds, and one
-unlocked ``self._data[key] = value`` added in a refactor is a data race
-that corrupts cached Generalized-Jaccard scores silently.
+``_data`` LRU map is shared by every engine view of one corpus, whatever
+thread scores through them, and one unlocked ``self._data[key] = value``
+added in a refactor is a data race that corrupts cached
+Generalized-Jaccard scores silently.
 
 The rule is *alias-aware*: within one function scope, ``data =
 self._data`` makes ``data`` a known alias, and a later ``data[k] = v``

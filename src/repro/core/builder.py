@@ -18,29 +18,24 @@ an explicitly named step:
 
 Being module-level (and therefore picklable), :func:`build_one_corpus` is
 also the unit of work a :class:`~repro.shard.ShardedBenchmarkSession`
-ships to worker *processes* — the corpus-level stages are serial Python,
-so the corpus itself is the parallel unit beyond the ratio thread pool.
-:class:`BenchmarkBuilder` remains as the single-corpus special case: a
-thin compatible wrapper whose ``build()`` delegates here.
+ships to worker *processes* — the stages are serial Python, so the corpus
+is the parallel unit.  :class:`BenchmarkBuilder` remains as the
+single-corpus special case: a thin compatible wrapper whose ``build()``
+delegates here.
 
 The per-ratio builds are mutually independent: each derives its random
 streams by name from the master seed and only reads the shared artifacts,
-so stage 7 runs them concurrently on a thread pool (the engine's
-NumPy/SciPy kernels release the GIL).  Results are merged back in
-configuration order, which keeps a seeded build byte-identical whether
-parallelism is enabled or not.  Per-stage wall-clock timings are recorded
-in :attr:`BuildArtifacts.stage_timings`.
+and stage 7 runs them in configuration order.  Per-stage wall-clock
+timings are recorded in :attr:`BuildArtifacts.stage_timings`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.blocking.candidates import BlockedPairSet, CandidateBlocker
 from repro.cleansing.pipeline import CleansingPipeline, CleansingReport
 from repro.core.benchmark import WDCProductsBenchmark
-from repro.core.datasets import MulticlassDataset, PairDataset
 from repro.core.dimensions import CornerCaseRatio, DevSetSize, UnseenRatio
 from repro.core.multiclass import build_multiclass_eval, build_multiclass_train
 from repro.core.pairs import generate_pairs
@@ -74,10 +69,8 @@ class BuildConfig:
     n_products: int = 500
     n_similar: int = 4
     corner_case_ratios: tuple[CornerCaseRatio, ...] = tuple(CornerCaseRatio)
-    parallel_ratio_builds: bool = True
-    max_workers: int | None = None
-    # Bound on the engine's per-corpus Generalized-Jaccard pair cache; the
-    # cache is shared (lock-protected) by every concurrent ratio build.
+    # Bound on the engine's per-corpus Generalized-Jaccard pair cache,
+    # shared by every ratio build of the corpus.
     gj_cache_entries: int = 1 << 20
     # When positive, the build runs an extra timed ``blocking`` stage: a
     # corpus-level top-k candidate join (``CandidateBlocker``) whose
@@ -111,22 +104,6 @@ class BuildConfig:
         overrides.setdefault("n_products", 60)
         overrides.setdefault("seed", seed)
         return cls(**overrides)
-
-
-@dataclass
-class _RatioArtifacts:
-    """Everything one corner-case ratio contributes to the benchmark."""
-
-    corner_cases: CornerCaseRatio
-    selections: dict[str, ProductSelection]
-    split: OfferSplit
-    train_sets: dict[DevSetSize, PairDataset]
-    valid_sets: dict[DevSetSize, PairDataset]
-    test_sets: dict[UnseenRatio, PairDataset]
-    multiclass_train: dict[DevSetSize, MulticlassDataset]
-    multiclass_valid: MulticlassDataset
-    multiclass_test: MulticlassDataset
-    elapsed: float
 
 
 @dataclass
@@ -262,126 +239,89 @@ def _stage_blocking(
 # Stage 7: one corner-case ratio
 # --------------------------------------------------------------------- #
 def _build_ratio(
-    config: BuildConfig,
+    artifacts: BuildArtifacts,
     corner_cases: CornerCaseRatio,
-    grouped: GroupedCorpus,
-    embedding_model: LsaEmbeddingModel,
-    engine: SimilarityEngine,
     offer_rows: dict[str, int],
     cluster_rows: dict[str, int],
     stream: RngStream,
-) -> _RatioArtifacts:
+) -> None:
+    """Add one corner-case ratio's selections, split and datasets."""
+    config = artifacts.config
+    engine = artifacts.engine
+    benchmark = artifacts.benchmark
     ratio_name = corner_cases.label
     registry = SimilarityRegistry(
-        embedding_model=embedding_model,
+        embedding_model=artifacts.embedding_model,
         rng=stream.generator("registry", ratio_name),
     )
 
-    with Timer() as timer:
-        # Step 4: product selection (seen and unseen sets of n_products).
-        selections: dict[str, ProductSelection] = {}
-        for part in ("seen", "unseen"):
-            selections[part] = select_products(
-                grouped,
-                part=part,
-                corner_case_ratio=corner_cases.value,
-                n_products=config.n_products,
-                n_similar=config.n_similar,
-                registry=registry,
-                rng=stream.generator("selection", ratio_name, part),
-                engine=engine,
-                cluster_rows=cluster_rows,
-            )
-
-        # Step 5: offer splitting (incl. the three test product sets).
-        split = split_offers(
-            selections["seen"],
-            selections["unseen"],
+    # Step 4: product selection (seen and unseen sets of n_products).
+    for part in ("seen", "unseen"):
+        artifacts.selections[(corner_cases, part)] = select_products(
+            artifacts.grouped,
+            part=part,
+            corner_case_ratio=corner_cases.value,
+            n_products=config.n_products,
+            n_similar=config.n_similar,
             registry=registry,
-            rng=stream.generator("splitting", ratio_name),
+            rng=stream.generator("selection", ratio_name, part),
+            engine=engine,
+            cluster_rows=cluster_rows,
+        )
+
+    # Step 5: offer splitting (incl. the three test product sets).
+    split = split_offers(
+        artifacts.selections[(corner_cases, "seen")],
+        artifacts.selections[(corner_cases, "unseen")],
+        registry=registry,
+        rng=stream.generator("splitting", ratio_name),
+        engine=engine,
+        offer_rows=offer_rows,
+    )
+    artifacts.splits[corner_cases] = split
+
+    # Step 6: pair generation for every development size and test set,
+    # plus the multi-class datasets (valid/test built once — they do not
+    # depend on the development-set size).
+    for dev_size in DevSetSize:
+        pair_rng = stream.generator("pairs", ratio_name, dev_size.value)
+        key = (corner_cases, dev_size)
+        benchmark.train_sets[key] = generate_pairs(
+            split.train_offers(dev_size),
+            name=f"train-{ratio_name}-{dev_size.value}",
+            corner_negatives_per_offer=dev_size.corner_negatives_per_offer,
+            rng=pair_rng,
             engine=engine,
             offer_rows=offer_rows,
         )
-
-        # Step 6: pair generation for every development size and test
-        # set, plus the multi-class datasets (valid/test built once —
-        # they do not depend on the development-set size).
-        train_sets: dict[DevSetSize, PairDataset] = {}
-        valid_sets: dict[DevSetSize, PairDataset] = {}
-        multiclass_train: dict[DevSetSize, MulticlassDataset] = {}
-        for dev_size in DevSetSize:
-            pair_rng = stream.generator("pairs", ratio_name, dev_size.value)
-            train_sets[dev_size] = generate_pairs(
-                split.train_offers(dev_size),
-                name=f"train-{ratio_name}-{dev_size.value}",
-                corner_negatives_per_offer=dev_size.corner_negatives_per_offer,
-                rng=pair_rng,
-                engine=engine,
-                offer_rows=offer_rows,
-            )
-            valid_sets[dev_size] = generate_pairs(
-                split.valid_offers(),
-                name=f"valid-{ratio_name}-{dev_size.value}",
-                corner_negatives_per_offer=dev_size.corner_negatives_per_offer,
-                rng=pair_rng,
-                engine=engine,
-                offer_rows=offer_rows,
-            )
-            multiclass_train[dev_size] = build_multiclass_train(
-                split,
-                dev_size=dev_size,
-                name_prefix=f"multiclass-{ratio_name}",
-            )
-        multiclass_valid, multiclass_test = build_multiclass_eval(
-            split, name_prefix=f"multiclass-{ratio_name}"
+        benchmark.valid_sets[key] = generate_pairs(
+            split.valid_offers(),
+            name=f"valid-{ratio_name}-{dev_size.value}",
+            corner_negatives_per_offer=dev_size.corner_negatives_per_offer,
+            rng=pair_rng,
+            engine=engine,
+            offer_rows=offer_rows,
         )
-
-        test_sets: dict[UnseenRatio, PairDataset] = {}
-        for unseen in UnseenRatio:
-            test_rng = stream.generator("pairs", ratio_name, "test", unseen.label)
-            test_sets[unseen] = generate_pairs(
-                split.test_offers(unseen),
-                name=f"test-{ratio_name}-{unseen.label.lower()}",
-                corner_negatives_per_offer=_TEST_CORNER_NEGATIVES,
-                rng=test_rng,
-                engine=engine,
-                offer_rows=offer_rows,
-            )
-
-    return _RatioArtifacts(
-        corner_cases=corner_cases,
-        selections=selections,
-        split=split,
-        train_sets=train_sets,
-        valid_sets=valid_sets,
-        test_sets=test_sets,
-        multiclass_train=multiclass_train,
-        multiclass_valid=multiclass_valid,
-        multiclass_test=multiclass_test,
-        elapsed=timer.elapsed,
-    )
-
-
-def _merge_ratio(artifacts: BuildArtifacts, result: _RatioArtifacts) -> None:
-    corner_cases = result.corner_cases
-    for part, selection in result.selections.items():
-        artifacts.selections[(corner_cases, part)] = selection
-    artifacts.splits[corner_cases] = result.split
-    benchmark = artifacts.benchmark
-    for dev_size in DevSetSize:
-        benchmark.train_sets[(corner_cases, dev_size)] = result.train_sets[
-            dev_size
-        ]
-        benchmark.valid_sets[(corner_cases, dev_size)] = result.valid_sets[
-            dev_size
-        ]
-        benchmark.multiclass_train[(corner_cases, dev_size)] = (
-            result.multiclass_train[dev_size]
+        benchmark.multiclass_train[key] = build_multiclass_train(
+            split,
+            dev_size=dev_size,
+            name_prefix=f"multiclass-{ratio_name}",
         )
-    benchmark.multiclass_valid[corner_cases] = result.multiclass_valid
-    benchmark.multiclass_test[corner_cases] = result.multiclass_test
+    (
+        benchmark.multiclass_valid[corner_cases],
+        benchmark.multiclass_test[corner_cases],
+    ) = build_multiclass_eval(split, name_prefix=f"multiclass-{ratio_name}")
+
     for unseen in UnseenRatio:
-        benchmark.test_sets[(corner_cases, unseen)] = result.test_sets[unseen]
+        test_rng = stream.generator("pairs", ratio_name, "test", unseen.label)
+        benchmark.test_sets[(corner_cases, unseen)] = generate_pairs(
+            split.test_offers(unseen),
+            name=f"test-{ratio_name}-{unseen.label.lower()}",
+            corner_negatives_per_offer=_TEST_CORNER_NEGATIVES,
+            rng=test_rng,
+            engine=engine,
+            offer_rows=offer_rows,
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -442,48 +382,17 @@ def build_one_corpus(config: BuildConfig) -> BuildArtifacts:
         stage_timings=timings,
     )
 
-    # Stage 7 per corner-case ratio: independent, hence parallelizable.
-    ratios = list(config.corner_case_ratios)
-    with Timer() as timer:
-        if config.parallel_ratio_builds and len(ratios) > 1:
-            workers = config.max_workers or len(ratios)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ratio_results = list(
-                    pool.map(
-                        lambda cc: _build_ratio(
-                            config,
-                            cc,
-                            grouped,
-                            embedding_model,
-                            engine,
-                            offer_rows,
-                            cluster_rows,
-                            stream,
-                        ),
-                        ratios,
-                    )
-                )
-        else:
-            ratio_results = [
+    # Stage 7, one corner-case ratio at a time.  ``ratios`` is keyed
+    # before the loop so it precedes its nested ``ratio:*`` rows.
+    timings["ratios"] = 0.0
+    with Timer() as ratios_timer:
+        for corner_cases in config.corner_case_ratios:
+            with Timer() as timer:
                 _build_ratio(
-                    config,
-                    cc,
-                    grouped,
-                    embedding_model,
-                    engine,
-                    offer_rows,
-                    cluster_rows,
-                    stream,
+                    artifacts, corner_cases, offer_rows, cluster_rows, stream
                 )
-                for cc in ratios
-            ]
-    timings["ratios"] = timer.elapsed
-
-    # Merge in configuration order so dict ordering — and therefore the
-    # serialized benchmark — is independent of completion order.
-    for result in ratio_results:
-        _merge_ratio(artifacts, result)
-        timings[f"ratio:{result.corner_cases.label}"] = result.elapsed
+            timings[f"ratio:{corner_cases.label}"] = timer.elapsed
+    timings["ratios"] = ratios_timer.elapsed
 
     if config.store_dir is not None:
         # Deferred import: repro.core.__init__ imports this module, and

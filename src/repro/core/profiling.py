@@ -39,9 +39,7 @@ def build_profile(artifacts) -> list[StageTimingRow]:
 
     Stage names containing ``:`` are *nested* breakdowns of a top-level
     stage: ``ratio:*`` rows report each corner-case ratio's own build time
-    (with parallel ratio builds their sum can exceed the ``ratios``
-    wall-clock, which is the point of running them concurrently) and
-    ``cleansing:*`` rows split the cleansing stage into its five §3.2
+    (they sum to the ``ratios`` wall-clock) and ``cleansing:*`` rows split the cleansing stage into its five §3.2
     sub-stages.  Shares are computed against the sum of the top-level
     stages only; nested rows carry share 0.
     """

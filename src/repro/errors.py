@@ -185,8 +185,8 @@ class ShardTimeoutError(ShardBuildError):
     Transient by classification (a hung worker, an overloaded machine):
     the retry reuses the same config.  Process executors enforce the
     budget preemptively (the hung worker is terminated with the pool);
-    serial and thread executors cannot preempt a running build and
-    classify post-hoc on the attempt's measured elapsed time.
+    the serial executor cannot preempt a running build and classifies
+    post-hoc on the attempt's measured elapsed time.
     """
 
 

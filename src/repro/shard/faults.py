@@ -52,7 +52,7 @@ class FaultSpec:
 
     * ``"crash"`` — kill the worker process outright (``os._exit``), so
       the parent sees a genuine ``BrokenProcessPool``.  Under the serial
-      or thread executor (where dying would take the session down) a
+      executor (where dying would take the session down) a
       :class:`~repro.errors.ShardCrashError` is raised instead — the
       same transient classification through the same supervisor path.
     * ``"sleep"`` — sleep ``seconds`` before building, driving the

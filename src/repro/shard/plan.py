@@ -89,7 +89,6 @@ class ShardPlan:
         base_config: BuildConfig | None = None,
         seed: int = 42,
         partition_scale: bool = True,
-        ratio_threads: bool = False,
     ) -> "ShardPlan":
         """Spawn ``n_shards`` independent configs from ``base_config``.
 
@@ -109,11 +108,6 @@ class ShardPlan:
         *corner-case pool*: a single corpus exhausts its selectable
         corner cases just past the default scale, while each shard
         selects locally and never does).
-
-        ``ratio_threads`` defaults to off inside shards: the session's
-        worker processes are the parallel unit, and nested per-shard
-        thread pools only oversubscribe the cores the processes already
-        occupy.  Per-shard results are byte-identical either way.
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -141,7 +135,6 @@ class ShardPlan:
                     seed=build_seed,
                     corpus=replace(corpus, seed=corpus_seed),
                     n_products=n_products,
-                    parallel_ratio_builds=ratio_threads,
                 )
             )
         return cls(shard_configs=tuple(configs), seed=seed)

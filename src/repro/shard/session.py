@@ -4,10 +4,10 @@
 :class:`~repro.shard.plan.ShardPlan` fixes N independent per-shard build
 configs, :meth:`ShardedBenchmarkSession.build` runs
 :func:`~repro.core.builder.build_one_corpus` for each of them in worker
-**processes** (the corpus/cleansing/grouping stages are serial Python, so
-process isolation — not the ratio thread pool — is what parallelizes
-them), and a cross-shard blocking sweep joins every shard pair's
-universes into one deduplicated, provenance-tagged candidate set.  The
+**processes** (every build stage is serial Python, so process
+isolation is what parallelizes them), and a cross-shard blocking sweep
+joins every shard pair's universes into one deduplicated,
+provenance-tagged candidate set.  The
 result is a :class:`ShardedArtifacts`: per-shard
 :class:`~repro.core.builder.BuildArtifacts` plus merged session-level
 views (candidates, benchmark, corpus, engine) that existing consumers —
@@ -61,6 +61,7 @@ from repro.shard.supervisor import (
     RetryPolicy,
     SessionHealth,
     ShardSupervisor,
+    check_executor,
 )
 from repro.shard.sweep import (
     CROSS_SHARD_METRICS,
@@ -81,8 +82,6 @@ __all__ = [
     "SWEEP_MODES",
     "FAILURE_POLICIES",
 ]
-
-_EXECUTORS = ("process", "thread", "serial")
 
 SWEEP_MODES = ("signature", "exhaustive")
 
@@ -470,6 +469,9 @@ class ShardedBenchmarkSession:
     the default) and completing over the survivors (``"degrade"``),
     ``checkpoint_dir`` enables per-shard crash-resume checkpoints, and
     ``fault_plan`` / ``sleep`` are test-only injection points.
+    ``executor="process"`` builds shards on at most ``max_workers``
+    worker processes (``None``: one per shard); ``"serial"`` builds them
+    in this process.
 
     Checkpoints are artifact stores (:mod:`repro.io.store`).  With
     ``checkpoint_dir`` alone, workers return their shards in memory and
@@ -509,10 +511,7 @@ class ShardedBenchmarkSession:
         fault_plan: FaultPlan | None = None,
         sleep=time.sleep,
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
-            )
+        check_executor(executor, max_workers)
         if sweep_mode not in SWEEP_MODES:
             raise ValueError(
                 f"sweep_mode must be one of {SWEEP_MODES}, got {sweep_mode!r}"

@@ -26,8 +26,8 @@ collected in shard order, failures schedule the next wave after one
 exponential-backoff sleep (``backoff_base * 2**(attempt-1)``, capped).
 The process executor enforces the wall-clock ``timeout`` preemptively —
 a wave that times out or breaks its pool has the pool's workers
-terminated and a fresh pool built for the next wave; serial and thread
-executors cannot preempt a running build and classify post-hoc on the
+terminated and a fresh pool built for the next wave; the serial executor
+cannot preempt a running build and classifies post-hoc on the
 attempt's measured elapsed time (the worker-side build clock, so queue
 wait is never billed as build time).
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -69,14 +69,33 @@ __all__ = [
     "SessionHealth",
     "ShardSupervisor",
     "respawn_config",
+    "check_executor",
+    "EXECUTORS",
     "FAILURE_POLICIES",
 ]
 
-_EXECUTORS = ("process", "thread", "serial")
+EXECUTORS = ("process", "serial")
 
 FAILURE_POLICIES = ("raise", "degrade")
 
 _SEED_MODULUS = 2**32
+
+
+def check_executor(executor: str, max_workers: int | None) -> None:
+    """Reject an unknown executor or a worker count that is not ``None``
+    or an ``int`` of at least 1 (``None`` means one worker per shard)."""
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
+        )
+    if max_workers is not None and (
+        isinstance(max_workers, bool)
+        or not isinstance(max_workers, int)
+        or max_workers < 1
+    ):
+        raise ValueError(
+            f"max_workers must be None or an int >= 1, got {max_workers!r}"
+        )
 
 
 def respawn_config(
@@ -268,6 +287,10 @@ class _Pending:
 class ShardSupervisor:
     """Schedules, supervises and (when needed) retries shard builds.
 
+    Worker processes are the only parallel unit: ``executor="process"``
+    runs each wave on a pool of ``max_workers`` processes (``None``: one
+    per shard), and ``"serial"`` runs it in this process.
+
     ``build_fn`` defaults to :func:`_build_one_shard`; tests inject a
     lightweight module-level callable with the same signature to
     exercise supervision without paying for real corpus builds.
@@ -288,10 +311,7 @@ class ShardSupervisor:
         sleep=time.sleep,
         build_fn=None,
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
-            )
+        check_executor(executor, max_workers)
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
@@ -406,23 +426,6 @@ class ShardSupervisor:
                 )
         return results
 
-    def _thread_wave(self, wave, pending) -> dict:
-        workers = self.max_workers or len(self.configs)
-        results = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for shard in wave:
-                args, kwargs = self._submit_args(shard, pending[shard])
-                futures[shard] = pool.submit(self.build_fn, *args, **kwargs)
-            for shard in wave:
-                with Timer() as timer:
-                    try:
-                        payload = futures[shard].result()
-                        results[shard] = (True, payload, payload[2])
-                    except Exception as error:
-                        results[shard] = (False, error, timer.elapsed)
-        return results
-
     def _process_wave(self, wave, pending) -> dict:
         results = {}
         pool = self._ensure_pool()
@@ -471,8 +474,6 @@ class ShardSupervisor:
     def _run_wave(self, wave, pending) -> dict:
         if self.executor == "process" and len(self.configs) > 1:
             return self._process_wave(wave, pending)
-        if self.executor == "thread" and len(self.configs) > 1:
-            return self._thread_wave(wave, pending)
         return self._serial_wave(wave, pending)
 
     # ------------------------------------------------------------------ #

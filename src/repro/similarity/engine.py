@@ -26,9 +26,6 @@ NumPy/SciPy kernels:
   token-set metrics over N explicit pairs are a handful of sparse matrix
   ops (see :mod:`repro.similarity.features`).
 
-The sparse/dense kernels release the GIL, so independent corner-case-ratio
-builds can share one engine across worker threads.
-
 Since the serving layer landed, a *root* engine is also mutable:
 
 * ``append`` / ``retire`` — amortized-O(delta) row-block appends into

@@ -483,8 +483,8 @@ class BoundedPairCache:
     token-set ids, which :meth:`SimilarityEngine.view` slices preserve), and
     all cached values must come from the same scoring configuration (the
     engine always scores at the default soft-match threshold).  Eviction is
-    least-recently-used, so the hot pairs of concurrent ratio builds stay
-    resident while one-off pairs age out.
+    least-recently-used, so the pairs every ratio build of the corpus
+    rescores stay resident while one-off pairs age out.
     """
 
     def __init__(self, capacity: int = 1 << 20) -> None:

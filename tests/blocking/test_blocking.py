@@ -225,7 +225,6 @@ class TestBuilderBlockingStage:
         config = BuildConfig.small(
             blocking_top_k=5,
             corner_case_ratios=(CornerCaseRatio.CC50,),
-            parallel_ratio_builds=False,
         )
         artifacts = BenchmarkBuilder(config).build()
         assert "blocking" in artifacts.stage_timings

@@ -1,9 +1,8 @@
-"""Determinism of the staged builder under parallel ratio builds.
+"""Determinism of the staged builder.
 
-A fixed seed must yield byte-identical benchmark contents whether the
-per-corner-case-ratio builds run concurrently or sequentially: every ratio
-derives its random streams by name from the master seed and results are
-merged in configuration order, so scheduling must not leak into the data.
+A fixed seed must yield byte-identical benchmark contents on every
+rebuild: every corner-case ratio derives its random streams by name from
+the master seed and the ratios are built in configuration order.
 """
 
 import hashlib
@@ -37,70 +36,44 @@ def _multiclass_fingerprint(dataset):
     )
 
 
-@pytest.fixture(scope="module")
-def serial_artifacts():
-    return BenchmarkBuilder(
-        BuildConfig.small(parallel_ratio_builds=False)
-    ).build()
+class TestStageTimings:
+    def test_stage_timings_recorded(self, artifacts_small):
+        timings = artifacts_small.stage_timings
+        stages = list(timings)
+        assert {"corpus", "cleansing", "grouping", "embedding", "engine",
+                "ratios"} <= set(stages)
+        ratio_stages = [s for s in stages if s.startswith("ratio:")]
+        assert len(ratio_stages) == len(artifacts_small.config.corner_case_ratios)
+        assert all(
+            stages.index("ratios") < stages.index(s) for s in ratio_stages
+        )
+        assert all(v >= 0.0 for v in timings.values())
 
-
-class TestParallelSerialIdentity:
-    """artifacts_small (session fixture) builds with parallelism enabled."""
-
-    def test_configs_differ_only_in_parallelism(
-        self, artifacts_small, serial_artifacts
-    ):
-        assert artifacts_small.config.parallel_ratio_builds is True
-        assert serial_artifacts.config.parallel_ratio_builds is False
-        assert artifacts_small.config.seed == serial_artifacts.config.seed
-
-    def test_selections_identical(self, artifacts_small, serial_artifacts):
-        assert artifacts_small.selections.keys() == serial_artifacts.selections.keys()
-        for key, selection in artifacts_small.selections.items():
-            other = serial_artifacts.selections[key]
-            assert selection.cluster_ids() == other.cluster_ids()
-            assert selection.corner_cluster_ids == other.corner_cluster_ids
-
-    def test_all_pair_datasets_identical(self, artifacts_small, serial_artifacts):
-        for attribute in ("train_sets", "valid_sets", "test_sets"):
-            parallel_sets = getattr(artifacts_small.benchmark, attribute)
-            serial_sets = getattr(serial_artifacts.benchmark, attribute)
-            assert list(parallel_sets.keys()) == list(serial_sets.keys()), attribute
-            for key, dataset in parallel_sets.items():
-                assert _pair_dataset_fingerprint(dataset) == (
-                    _pair_dataset_fingerprint(serial_sets[key])
-                ), (attribute, key)
-
-    def test_multiclass_datasets_identical(self, artifacts_small, serial_artifacts):
-        for attribute in ("multiclass_train", "multiclass_valid", "multiclass_test"):
-            parallel_sets = getattr(artifacts_small.benchmark, attribute)
-            serial_sets = getattr(serial_artifacts.benchmark, attribute)
-            assert list(parallel_sets.keys()) == list(serial_sets.keys()), attribute
-            for key, dataset in parallel_sets.items():
-                assert _multiclass_fingerprint(dataset) == (
-                    _multiclass_fingerprint(serial_sets[key])
-                ), (attribute, key)
-
-    def test_stage_timings_recorded(self, artifacts_small, serial_artifacts):
-        for artifacts in (artifacts_small, serial_artifacts):
-            stages = set(artifacts.stage_timings)
-            assert {"corpus", "cleansing", "grouping", "embedding", "engine",
-                    "ratios"} <= stages
-            ratio_stages = [s for s in stages if s.startswith("ratio:")]
-            assert len(ratio_stages) == len(artifacts.config.corner_case_ratios)
-            assert all(v >= 0.0 for v in artifacts.stage_timings.values())
+    def test_parallel_ratio_builds_option_removed(self):
+        with pytest.raises(TypeError, match="parallel_ratio_builds"):
+            BuildConfig.small(parallel_ratio_builds=True)
 
 
 class TestRebuildIdentity:
-    def test_same_seed_same_build(self, serial_artifacts):
-        """A rebuild with the same seed reproduces the pair sets exactly."""
-        rebuilt = BenchmarkBuilder(
-            BuildConfig.small(parallel_ratio_builds=False)
-        ).build()
-        for key, dataset in serial_artifacts.benchmark.train_sets.items():
-            assert _pair_dataset_fingerprint(dataset) == _pair_dataset_fingerprint(
-                rebuilt.benchmark.train_sets[key]
-            )
+    def test_same_seed_same_build(self, artifacts_small):
+        """A rebuild with the same seed reproduces every dataset exactly."""
+        rebuilt = BenchmarkBuilder(BuildConfig.small()).build()
+        for attribute, fingerprint in (
+            ("train_sets", _pair_dataset_fingerprint),
+            ("valid_sets", _pair_dataset_fingerprint),
+            ("test_sets", _pair_dataset_fingerprint),
+            ("multiclass_train", _multiclass_fingerprint),
+            ("multiclass_valid", _multiclass_fingerprint),
+            ("multiclass_test", _multiclass_fingerprint),
+        ):
+            original = getattr(artifacts_small.benchmark, attribute)
+            again = getattr(rebuilt.benchmark, attribute)
+            assert list(original) == list(again), attribute
+            for key, dataset in original.items():
+                assert fingerprint(dataset) == fingerprint(again[key]), (
+                    attribute,
+                    key,
+                )
 
 
 class TestCrossRevisionIdentity:

@@ -65,19 +65,6 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="n_shards"):
             partition_corpus_config(CorpusConfig(), 0)
 
-    def test_shard_ratio_threads_default_off(self):
-        """Worker processes are the parallel unit; nested pools stay off."""
-        plan = ShardPlan.create(2, base_config=BuildConfig.small(), seed=42)
-        assert all(
-            not config.parallel_ratio_builds for config in plan.shard_configs
-        )
-        threaded = ShardPlan.create(
-            2, base_config=BuildConfig.small(), seed=42, ratio_threads=True
-        )
-        assert all(
-            config.parallel_ratio_builds for config in threaded.shard_configs
-        )
-
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="at least one shard"):
             ShardPlan(shard_configs=())

@@ -470,9 +470,16 @@ class TestFaultTolerantSessions:
 
 
 class TestSessionValidation:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            ShardedBenchmarkSession(_plan(), executor="fleet")
+    @pytest.mark.parametrize("executor", ["fleet", "thread"])
+    def test_unknown_executor_rejected(self, executor):
+        with pytest.raises(ValueError, match="executor") as excinfo:
+            ShardedBenchmarkSession(_plan(), executor=executor)
+        assert "('process', 'serial')" in str(excinfo.value)
+
+    @pytest.mark.parametrize("max_workers", [0, -1, 2.5, True])
+    def test_bad_max_workers_rejected(self, max_workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            ShardedBenchmarkSession(_plan(), max_workers=max_workers)
 
     def test_embedding_metric_rejected_for_cross_sweep(self):
         with pytest.raises(ValueError) as excinfo:

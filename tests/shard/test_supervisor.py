@@ -275,6 +275,21 @@ class TestBudgetsAndPolicies:
             supervisor.run()
 
 
+class TestSupervisorValidation:
+    def test_thread_executor_rejected(self):
+        with pytest.raises(ValueError, match="executor") as excinfo:
+            _supervisor(executor="thread")
+        assert "('process', 'serial')" in str(excinfo.value)
+
+    @pytest.mark.parametrize("executor", ["process", "serial"])
+    @pytest.mark.parametrize("max_workers", [0, -1, 2.5, False])
+    def test_bad_max_workers_rejected_at_construction(
+        self, executor, max_workers
+    ):
+        with pytest.raises(ValueError, match="max_workers"):
+            _supervisor(executor=executor, max_workers=max_workers)
+
+
 class TestCheckpointsThroughSupervisor:
     def test_second_run_loads_instead_of_building(self, tmp_path):
         configs = _configs()
