@@ -232,8 +232,10 @@ def _chaos_failures(section: dict | None, *, recall_floors: dict) -> list[str]:
 
     All intra-recording (no baseline timing involved): the fault-injected
     session must have completed, recovered every injected fault through a
-    retry (so ``retries >= injected_faults``) without degrading, and its
-    merged recall must clear the same floors as the healthy session.
+    retry (so ``retries >= injected_faults``) without degrading, left
+    every one of its ``n_shards`` stores verifiable as a checkpoint (so
+    the recovered session can be resumed), and its merged recall must
+    clear the same floors as the healthy session.
     """
     if section is None:
         return [
@@ -257,6 +259,13 @@ def _chaos_failures(section: dict | None, *, recall_floors: dict) -> list[str]:
         failures.append(
             "chaos: session completed degraded — a fault exhausted its "
             "retry budget instead of recovering"
+        )
+    n_shards = section.get("n_shards")
+    resumable = section.get("resumable_shards")
+    if not n_shards or resumable != list(range(n_shards)):
+        failures.append(
+            f"chaos: shards {resumable} of {n_shards} verify as "
+            "checkpoints — the recovered session cannot be resumed"
         )
     failures.extend(_recall_failures(section, label="chaos", **recall_floors))
     return failures

@@ -38,9 +38,11 @@ must prune at least half of the shard pairs or rescored rows.
 injected worker crash (shard 1, attempt 1) and an injected hang pushing
 shard 2 past its wall-clock budget, run serially so the attempt ledger
 is deterministic.  The session must self-heal — complete via exactly one
-retry per fault, undegraded, with checkpoints written and the merged
-recall floors intact — which CI asserts on every push, not only when a
-fault happens to occur in the wild.
+retry per fault, undegraded, with the merged recall floors intact and
+every shard's store adopted as a verifiable checkpoint in its
+``store_dir``, so the recovered session could be resumed — which CI
+asserts on every push, not only when a fault happens to occur in the
+wild.
 
 ``--store-rss N`` runs the out-of-core memory probe (the ``store``
 section, gated by ``check_regression.py``): the same N-shard
@@ -103,6 +105,7 @@ from repro.eval.runner import EvalSettings, ExperimentRunner
 from repro.shard import (
     FaultPlan,
     FaultSpec,
+    ShardCheckpointStore,
     ShardPlan,
     ShardedBenchmarkSession,
 )
@@ -317,8 +320,10 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
     shard 2 past the ``CHAOS_TIMEOUT`` wall-clock budget, then requires
     the session to complete through the supervisor's retries: exactly
     one retry per fault (serial execution keeps the ledger
-    deterministic), no degradation, checkpoints saved, merged recall at
-    the same floors the healthy sharding section is held to.
+    deterministic), no degradation, merged recall at the same floors the
+    healthy sharding section is held to, and every shard's store in
+    ``store_dir`` verifying as a checkpoint (``resumable_shards``), so a
+    rerun over that directory would resume instead of rebuilding.
     ``check_regression.py`` gates all of that from the recorded section.
     """
     if n_shards < 3:
@@ -352,6 +357,7 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
     }
     try:
         with tempfile.TemporaryDirectory() as scratch:
+            store = Path(scratch) / "store"
             seconds, session = _timed(
                 lambda: ShardedBenchmarkSession(
                     plan,
@@ -360,10 +366,13 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
                     shard_timeout=CHAOS_TIMEOUT,
                     max_attempts=3,
                     retry_backoff=0.1,
-                    checkpoint_dir=Path(scratch) / "checkpoints",
+                    store_dir=store,
                 ).build()
             )
             recall, join_recall = _merged_recall(session)
+            resumable = ShardCheckpointStore(store).completed_shards(
+                plan.shard_configs
+            )
     except Exception as error:
         section["completed"] = False
         section["error"] = f"{type(error).__name__}: {error}"
@@ -384,6 +393,7 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
             },
             "recall": recall,
             "join_recall": join_recall,
+            "resumable_shards": resumable,
         }
     )
     return section

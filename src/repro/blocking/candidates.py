@@ -31,7 +31,7 @@ from repro.core.datasets import LabeledPair, PairDataset
 from repro.corpus.schema import ProductOffer
 from repro.similarity.engine import SimilarityEngine
 
-__all__ = ["BlockedPair", "BlockedPairSet", "CandidateBlocker"]
+__all__ = ["BlockedPair", "BlockedPairSet", "CandidateBlocker", "check_top_k"]
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,13 @@ class BlockedPairSet:
         )
 
 
+def check_top_k(k: int, *, name: str = "k") -> None:
+    """Reject a top-``k`` that is not an ``int`` of at least 1 (``bool``
+    included: ``True`` would silently mean ``k=1``)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {k!r}")
+
+
 class CandidateBlocker:
     """Batched top-k candidate join over one engine's title universe.
 
@@ -326,8 +333,7 @@ class CandidateBlocker:
         negatives, so no positive is ever lost to a low-similarity noise
         offer.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        check_top_k(k)
         queries = (
             np.arange(len(self.engine), dtype=np.intp)
             if query_rows is None

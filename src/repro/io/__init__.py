@@ -13,7 +13,6 @@ from repro.io.datasets import (
 )
 from repro.io.store import (
     STORE_SCHEMA,
-    ArtifactStore,
     StoredShard,
     StoredShardHandle,
     StoredSplit,
@@ -37,7 +36,6 @@ __all__ = [
     "save_benchmark",
     "load_benchmark",
     "STORE_SCHEMA",
-    "ArtifactStore",
     "StoredShard",
     "StoredShardHandle",
     "StoredSplit",

@@ -73,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (builder imports us)
 
 __all__ = [
     "STORE_SCHEMA",
-    "ArtifactStore",
     "StoredShard",
     "StoredShardHandle",
     "StoredSplit",
@@ -212,9 +211,9 @@ def clear_stale_lock(directory: Path | str) -> None:
     """Remove a ``writer.lock`` left behind by a killed writer.
 
     Only for a caller that owns ``directory`` exclusively — a shard
-    build attempt or a checkpoint save (the supervisor never runs two
-    attempts of one shard at once), for whom a present lock can only be
-    debris that would otherwise make the rebuild refuse itself.
+    build attempt (the supervisor never runs two attempts of one shard
+    at once), for whom a present lock can only be debris that would
+    otherwise make the rebuild refuse itself.
     """
     Path(directory, _LOCK).unlink(missing_ok=True)
 
@@ -1160,73 +1159,3 @@ class StoredShard:
     def blocker(self) -> CandidateBlocker | None:
         blocked = self.blocked_candidates
         return None if blocked is None else blocked.blocker
-
-
-# --------------------------------------------------------------------- #
-# Multi-shard root
-# --------------------------------------------------------------------- #
-class ArtifactStore:
-    """Directory of per-shard stores plus the session-level merged views.
-
-    One ``ArtifactStore`` roots a sharded session: ``shard-0000/``,
-    ``shard-0001/``, … hold each shard's store, and ``merged.db`` (written
-    by the sweep's merged-candidate sink) the session-level candidate
-    tables.  The per-shard layout is exactly :func:`write_store`'s.
-    """
-
-    def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def shard_dir(self, shard: int) -> Path:
-        return self.root / f"shard-{shard:04d}"
-
-    def merged_path(self) -> Path:
-        return self.root / "merged.db"
-
-    def save(
-        self,
-        shard: int,
-        artifacts,
-        *,
-        base_fingerprint: str | None = None,
-        attempt: int = 1,
-        elapsed: float = 0.0,
-        clock: Callable[[], float] | None = None,
-    ) -> Path:
-        return write_store(
-            self.shard_dir(shard),
-            artifacts,
-            shard=shard,
-            base_fingerprint=base_fingerprint,
-            attempt=attempt,
-            elapsed=elapsed,
-            clock=clock,
-        )
-
-    def open_shard(
-        self,
-        shard: int,
-        *,
-        base_fingerprint: str | None = None,
-        strict: bool = False,
-    ) -> StoredShard | None:
-        return open_store(
-            self.shard_dir(shard),
-            base_fingerprint=base_fingerprint,
-            strict=strict,
-        )
-
-    def completed_shards(self, configs) -> list[int]:
-        """Shards of ``configs`` with a verifiable store on disk."""
-        return [
-            shard
-            for shard, config in enumerate(configs)
-            if not isinstance(
-                verify_store(
-                    self.shard_dir(shard),
-                    base_fingerprint=config_fingerprint(config),
-                ),
-                str,
-            )
-        ]

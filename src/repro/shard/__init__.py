@@ -68,7 +68,6 @@ from repro.shard.sweep import (
     ShardUniverse,
     cross_shard_blocker,
     cross_shard_candidates,
-    shard_blocker,
     shard_universe,
     split_universe,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "ShardUniverse",
     "cross_shard_blocker",
     "cross_shard_candidates",
-    "shard_blocker",
     "shard_universe",
     "split_universe",
 ]

@@ -1,8 +1,9 @@
 """Per-shard checkpoints: crash-resume without rebuilding finished work.
 
-A :class:`ShardCheckpointStore` persists every completed shard of a
-sharded session under one session directory, each shard as an artifact
-store (see :mod:`repro.io.store`)::
+A :class:`ShardCheckpointStore` verifies, adopts and loads the completed
+shards of a store-backed session (``ShardedBenchmarkSession(store_dir=)``)
+under one session directory, each shard as an artifact store (see
+:mod:`repro.io.store`)::
 
     <root>/
       shard-0000/
@@ -10,12 +11,15 @@ store (see :mod:`repro.io.store`)::
         shard.db          # queryable schema
         *.npy             # mmap sidecars: incidence matrix, embeddings
 
-Payload files are written first (temp file, then atomic rename), the
+The shard's worker writes the store itself (the builder's ``store``
+stage): payload files first (temp file, then atomic rename), the
 manifest last, so a session killed mid-write leaves either no manifest
-(checkpoint ignored) or a complete, verifiable state.  Verification is
-*streamed* — every payload file's sha256 is hashed in fixed-size chunks
-against the manifest record before anything is opened, so verifying a
-multi-GB shard never doubles peak RSS.
+(checkpoint ignored) or a complete, verifiable state.  This class never
+writes a payload: :meth:`~ShardCheckpointStore.save` adopts a finished
+store by amending its manifest with the plan's resume key.
+Verification is *streamed* — every payload file's sha256 is hashed in
+fixed-size chunks against the manifest record before anything is
+opened, so verifying a multi-GB shard never doubles peak RSS.
 
 :meth:`ShardCheckpointStore.load` verifies the shard's *base config
 fingerprint* — the fingerprint of the config the plan assigned the
@@ -36,19 +40,15 @@ callers that need to *know* a resume will be exact.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Callable
 
 from repro.core.builder import BuildConfig
 from repro.errors import StoreError
 from repro.io.store import (
     StoredShard,
     amend_manifest,
-    clear_stale_lock,
     config_fingerprint,
     verify_store,
-    write_store,
 )
 
 __all__ = ["ShardCheckpointStore", "config_fingerprint"]
@@ -57,23 +57,15 @@ _MANIFEST = "manifest.json"
 
 
 class ShardCheckpointStore:
-    """Directory-backed store of completed shard artifacts.
+    """Directory of completed shard stores: verify, adopt, load.
 
-    Each shard is one artifact store of :mod:`repro.io.store`, which
-    workers can also write in place and the parent opens lazily by
-    path.  ``clock`` supplies the manifest's ``created_at`` wall-clock
-    stamp (documentation only — it is deliberately outside the payload
-    sha256s and the config fingerprints, so two runs of the same plan
-    produce byte-identical *verifiable* state and merely different
-    timestamps).  Injectable so tests can pin it.
+    Each shard is one artifact store of :mod:`repro.io.store`, written
+    in place by the worker that built it and opened lazily by path.
     """
 
-    def __init__(
-        self, root: Path | str, *, clock: Callable[[], float] | None = None
-    ) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._clock = time.time if clock is None else clock
 
     def shard_dir(self, shard: int) -> Path:
         return self.root / f"shard-{shard:04d}"
@@ -91,44 +83,32 @@ class ShardCheckpointStore:
         attempt: int = 1,
         elapsed: float = 0.0,
     ) -> Path:
-        """Persist one completed shard; returns the manifest path.
+        """Adopt one completed shard's store; returns the manifest path.
 
-        ``base_config`` is the plan's config for this shard (the resume
-        key); the store records ``artifacts.config`` as the config that
-        actually built it (differs only after a reseeded retry).
-
-        An *adopted* :class:`StoredShard` (a worker already wrote the
-        store into this shard's directory) is committed by amending its
-        manifest with the plan's resume key — no payload is rewritten;
-        anything else is written out as a fresh store.
+        ``artifacts`` must be the :class:`StoredShard` a worker wrote
+        into this shard's own directory.  Its manifest is amended with
+        the plan's resume key (``base_config``'s fingerprint) and the
+        attempt ledger — no payload is rewritten.  Anything else raises
+        :class:`~repro.errors.StoreError`.
         """
         directory = self.shard_dir(shard)
-        base_fingerprint = config_fingerprint(base_config)
-        if isinstance(artifacts, StoredShard):
-            if artifacts.directory.resolve() != directory.resolve():
-                raise StoreError(
-                    f"cannot adopt shard {shard} store at "
-                    f"{artifacts.directory}: checkpoint expects it at "
-                    f"{directory}"
-                )
-            amend_manifest(
-                directory,
-                shard=shard,
-                base_fingerprint=base_fingerprint,
-                attempt=attempt,
-                elapsed=elapsed,
+        if (
+            not isinstance(artifacts, StoredShard)
+            or artifacts.directory.resolve() != directory.resolve()
+        ):
+            where = getattr(artifacts, "directory", "memory")
+            raise StoreError(
+                f"cannot adopt shard {shard} from {where}: only the store "
+                f"its worker wrote at {directory} can be adopted"
             )
-            return directory / _MANIFEST
-        clear_stale_lock(directory)
-        return write_store(
+        amend_manifest(
             directory,
-            artifacts,
             shard=shard,
-            base_fingerprint=base_fingerprint,
+            base_fingerprint=config_fingerprint(base_config),
             attempt=attempt,
             elapsed=elapsed,
-            clock=self._clock,
         )
+        return directory / _MANIFEST
 
     # ------------------------------------------------------------------ #
     def load(

@@ -49,7 +49,12 @@ from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.datasets import LabeledPair, MulticlassDataset, PairDataset
 from repro.corpus.schema import ProductOffer, SyntheticCorpus
 from repro.io.store import OFFER_COLUMNS, offer_to_row, row_to_offer
-from repro.shard.namespace import namespace_id, namespace_offer, namespace_offers
+from repro.shard.namespace import (
+    namespace_id,
+    namespace_multiclass_dataset,
+    namespace_offers,
+    namespace_pair_dataset,
+)
 
 __all__ = [
     "MergedCandidate",
@@ -591,28 +596,19 @@ def _merge_pair_datasets(
 ) -> PairDataset:
     merged = PairDataset(name=name)
     for shard, dataset in datasets:
-        merged.pairs.extend(
-            LabeledPair(
-                pair_id=namespace_id(shard, pair.pair_id),
-                offer_a=namespace_offer(pair.offer_a, shard),
-                offer_b=namespace_offer(pair.offer_b, shard),
-                label=pair.label,
-                provenance=pair.provenance,
-            )
-            for pair in dataset.pairs
-        )
+        merged.pairs.extend(namespace_pair_dataset(dataset, shard).pairs)
     return merged
 
 
 def _merge_multiclass(
     datasets: Sequence[tuple[int, MulticlassDataset]], name: str
 ) -> MulticlassDataset:
-    offers: list[ProductOffer] = []
-    labels: list[str] = []
+    merged = MulticlassDataset(name=name)
     for shard, dataset in datasets:
-        offers.extend(namespace_offers(dataset.offers, shard))
-        labels.extend(namespace_id(shard, label) for label in dataset.labels)
-    return MulticlassDataset(name=name, offers=offers, labels=labels)
+        spaced = namespace_multiclass_dataset(dataset, shard)
+        merged.offers.extend(spaced.offers)
+        merged.labels.extend(spaced.labels)
+    return merged
 
 
 def merge_benchmarks(

@@ -23,7 +23,7 @@ shard completion order (pinned in ``tests/shard/test_session.py``).
 Fault tolerance: shard builds run under a
 :class:`~repro.shard.supervisor.ShardSupervisor` — wall-clock timeouts,
 a per-shard retry budget with exponential backoff, process-pool recovery
-and (with ``checkpoint_dir``) crash-resume from per-shard checkpoints.
+and (with ``store_dir``) crash-resume from the per-shard stores.
 Transient failures retry the same config (deterministic builds make the
 retry reproduce the lost attempt byte-for-byte), corner-selection
 exhaustion retries with seeds respawned from ``(session_seed, shard,
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from repro.blocking.candidates import BlockedPairSet
+from repro.blocking.candidates import BlockedPairSet, check_top_k
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.builder import BuildArtifacts
 from repro.corpus.schema import SyntheticCorpus
@@ -467,25 +467,22 @@ class ShardedBenchmarkSession:
     ``shard_timeout`` form the :class:`RetryPolicy`, ``failure_policy``
     chooses between surfacing the first exhausted shard (``"raise"``,
     the default) and completing over the survivors (``"degrade"``),
-    ``checkpoint_dir`` enables per-shard crash-resume checkpoints, and
-    ``fault_plan`` / ``sleep`` are test-only injection points.
+    and ``fault_plan`` / ``sleep`` are test-only injection points.
     ``executor="process"`` builds shards on at most ``max_workers``
     worker processes (``None``: one per shard); ``"serial"`` builds them
     in this process.
 
-    Checkpoints are artifact stores (:mod:`repro.io.store`).  With
-    ``checkpoint_dir`` alone, workers return their shards in memory and
-    the parent writes each one into its store; a resumed shard comes
-    back as a lazily-opened :class:`~repro.io.store.StoredShard`.
-
-    ``store_dir`` switches the session out-of-core: each worker persists
-    its shard into the store itself and returns only a path handle +
-    signature summary across the pool boundary — the parent opens
-    shards lazily (mmap engine, SQL-backed benchmark/splits) and the
-    sweep streams merged candidates into ``<store_dir>/merged.db``
-    instead of materializing them.  The store doubles as the
-    crash-resume checkpoint, so ``checkpoint_dir``, when also given,
-    must name the same directory.  ``store_backend`` accepts only
+    ``store_dir`` is the one persistence option and switches the
+    session out-of-core: each worker writes its shard's artifact store
+    (:mod:`repro.io.store`) into ``<store_dir>/shard-NNNN`` itself and
+    returns only a path handle + signature summary across the pool
+    boundary — the parent adopts the store, opens shards lazily (mmap
+    engine, SQL-backed benchmark/splits) and the sweep streams merged
+    candidates into ``<store_dir>/merged.db`` instead of materializing
+    them.  The shard stores are the crash-resume checkpoint: a rerun
+    over the same directory loads every verified shard instead of
+    rebuilding it.  Without ``store_dir`` workers return in-memory
+    artifacts and nothing is persisted.  ``store_backend`` accepts only
     ``"sqlite"``, the one format left.
     """
 
@@ -505,7 +502,6 @@ class ShardedBenchmarkSession:
         retry_backoff: float = 0.5,
         backoff_cap: float = 8.0,
         failure_policy: str = "raise",
-        checkpoint_dir: Path | str | None = None,
         store_dir: Path | str | None = None,
         store_backend: str = "sqlite",
         fault_plan: FaultPlan | None = None,
@@ -535,20 +531,6 @@ class ShardedBenchmarkSession:
                 "the pickle backend was removed"
             )
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        if self.store_dir is not None:
-            if (
-                self.checkpoint_dir is not None
-                and self.checkpoint_dir.resolve() != self.store_dir.resolve()
-            ):
-                raise ValueError(
-                    "store_dir and checkpoint_dir must agree: the sqlite "
-                    "store is itself the crash-resume checkpoint"
-                )
-            # The store doubles as the checkpoint root.
-            self.checkpoint_dir = self.store_dir
         self.fault_plan = fault_plan
         self.sleep = sleep
         # Validates the threshold range once, at construction time.
@@ -577,8 +559,7 @@ class ShardedBenchmarkSession:
                 context="ShardedBenchmarkSession.shard_metrics",
             )
         )
-        if sweep_k <= 0:
-            raise ValueError(f"sweep_k must be positive, got {sweep_k}")
+        check_top_k(sweep_k, name="sweep_k")
         self.plan = plan
         self.sweep_k = sweep_k
         self.sweep_mode = sweep_mode
@@ -609,14 +590,13 @@ class ShardedBenchmarkSession:
         """
         configs = list(self.plan.shard_configs)
         store = None
-        if self.checkpoint_dir is not None:
-            store = ShardCheckpointStore(self.checkpoint_dir)
         if self.store_dir is not None:
             # Out-of-core mode: each worker writes its shard store into
             # its own directory and returns a path handle — the rewrite
             # happens *before* supervision so retries and checkpoints
             # see the store-backed config (fingerprints leave store_dir
             # out, so a moved store still resumes).
+            store = ShardCheckpointStore(self.store_dir)
             configs = [
                 replace(config, store_dir=str(store.shard_dir(shard)))
                 for shard, config in enumerate(configs)

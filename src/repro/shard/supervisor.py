@@ -33,8 +33,9 @@ wait is never billed as build time).
 
 With a :class:`~repro.shard.checkpoint.ShardCheckpointStore` attached,
 verified checkpoints are loaded up front (those shards never enter the
-build waves) and every freshly built shard is persisted on completion —
-a killed session resumes by rebuilding only what is missing.
+build waves) and every freshly built shard's store, which its worker
+wrote, is adopted on completion — a killed session resumes by
+rebuilding only what is missing.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ __all__ = [
     "ShardUniverse",
     "shard_universe",
     "split_universe",
-    "shard_blocker",
     "cross_shard_blocker",
     "cross_shard_candidates",
 ]
@@ -141,16 +140,6 @@ def split_universe(
             namespace_id(shard, cluster_id) for cluster_id, _ in entries
         ],
     )
-
-
-def shard_blocker(artifacts: BuildArtifacts, shard: int) -> CandidateBlocker:
-    """Shard ``shard``'s own corpus-level blocker, globally namespaced.
-
-    Runs over the shard's existing engine (no recomputation); offers and
-    group labels carry the ``s<shard>:`` namespace so the blocked pairs
-    merge with cross-shard sets on globally unique keys.
-    """
-    return shard_universe(artifacts, shard).blocker()
 
 
 def cross_shard_blocker(

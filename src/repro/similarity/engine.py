@@ -241,20 +241,16 @@ class SimilarityEngine:
         return engine
 
     @classmethod
-    def open(cls, store, shard: int | None = None) -> "SimilarityEngine":
+    def open(cls, store) -> "SimilarityEngine":
         """An engine over a shard's on-disk artifact store, memory-mapped.
 
-        ``store`` is anything exposing ``engine_parts()`` — a
-        :class:`~repro.io.store.StoredShard`, or a multi-shard
-        :class:`~repro.io.store.ArtifactStore` root together with the
-        ``shard`` index to open.  The incidence matrix's CSR arrays, the
-        set sizes, token-set keys and embeddings come back as read-only
-        memory maps over the store's sidecar files, so opening costs
+        ``store`` is anything exposing ``engine_parts()``, such as a
+        :class:`~repro.io.store.StoredShard`.  The incidence matrix's CSR
+        arrays, the set sizes, token-set keys and embeddings come back as
+        read-only memory maps over the store's sidecar files, so opening costs
         page-table setup, not a deserialized copy; everything else
         (``view()``, ``concat``, scoring) works unchanged on top.
         """
-        if shard is not None:
-            store = store.open_shard(shard, strict=True)
         parts = store.engine_parts()
         if parts is None:
             raise ValueError(

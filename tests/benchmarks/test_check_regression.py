@@ -45,8 +45,10 @@ def _healthy_chaos() -> dict:
     return {
         "completed": True,
         "degraded": False,
+        "n_shards": 3,
         "injected_faults": 2,
         "retries": 2,
+        "resumable_shards": [0, 1, 2],
         **json.loads(json.dumps(GOOD_RECALL)),
     }
 
@@ -134,6 +136,17 @@ class TestChaosFailures:
             section, recall_floors=RECALL_FLOORS
         )
         assert any("degraded" in line for line in failures)
+
+    def test_unverified_shard_store_fails(self):
+        section = _healthy_chaos()
+        section["resumable_shards"] = [0, 2]
+        failures = check_regression._chaos_failures(
+            section, recall_floors=RECALL_FLOORS
+        )
+        assert failures == [
+            "chaos: shards [0, 2] of 3 verify as checkpoints — the "
+            "recovered session cannot be resumed"
+        ]
 
     def test_recall_floors_apply_to_the_chaos_session(self):
         section = _healthy_chaos()

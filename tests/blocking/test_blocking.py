@@ -129,8 +129,9 @@ class TestCandidateBlocker:
             CandidateBlocker(engine, offers=[_offer("o0", "a", "alpha beta")])
         with pytest.raises(ValueError):
             CandidateBlocker(engine, group_labels=["a"])
-        with pytest.raises(ValueError):
-            CandidateBlocker(engine).candidates(k=0)
+        for k in (0, 2.5):
+            with pytest.raises(ValueError, match="k must be an int"):
+                CandidateBlocker(engine).candidates(k=k)
 
 
 class TestEngineGroupExclusion:

@@ -23,7 +23,6 @@ from repro.core.dimensions import CornerCaseRatio, DevSetSize, UnseenRatio
 from repro.errors import StoreError
 from repro.io.store import (
     STORE_SCHEMA,
-    ArtifactStore,
     StoredShardHandle,
     _writer_lock,
     amend_manifest,
@@ -242,13 +241,3 @@ class TestAmendAndLayout:
         assert after["attempt"] == 3
         assert after["files"] == before["files"]
         assert isinstance(verify_store(store_dir), dict)
-
-    def test_artifact_store_layout(self, tmp_path, artifacts):
-        root = ArtifactStore(tmp_path / "session")
-        fingerprint = config_fingerprint(artifacts.config)
-        root.save(3, artifacts, base_fingerprint=fingerprint)
-        assert (tmp_path / "session" / "shard-0003" / "shard.db").exists()
-        assert root.completed_shards([artifacts.config] * 4) == [3]
-        stored = root.open_shard(3, strict=True)
-        assert len(stored.cleansed.offers) == len(artifacts.cleansed.offers)
-        assert root.merged_path() == tmp_path / "session" / "merged.db"

@@ -1,6 +1,7 @@
-"""Shard checkpoints: atomic commit, verification, fingerprint gating."""
+"""Shard checkpoints: adoption, verification, fingerprint gating."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from repro.shard import (
     config_fingerprint,
     respawn_config,
 )
+from repro.shard.supervisor import _build_one_shard
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,13 @@ def store(tmp_path):
 
 def _offer_ids(shard) -> list[str]:
     return [offer.offer_id for offer in shard.cleansed.offers]
+
+
+def _save(store, shard, artifacts, *, base_config, attempt=1):
+    """Write shard ``shard``'s store the way its worker does, then adopt it."""
+    write_store(store.shard_dir(shard), artifacts)
+    stored = open_store(store.shard_dir(shard), strict=True)
+    return store.save(shard, stored, base_config=base_config, attempt=attempt)
 
 
 class TestConfigFingerprint:
@@ -61,7 +70,7 @@ class TestConfigFingerprint:
 
 class TestSaveLoad:
     def test_round_trip(self, store, base_config, artifacts):
-        store.save(3, artifacts, base_config=base_config)
+        _save(store, 3, artifacts, base_config=base_config)
         loaded = store.load(3, base_config=base_config)
         assert loaded is not None
         stored, manifest = loaded
@@ -82,7 +91,8 @@ class TestSaveLoad:
         built = respawn_config(
             base_config, session_seed=42, shard=0, attempt=2
         )
-        store.save(
+        _save(
+            store,
             0,
             replace(artifacts, config=built),
             base_config=base_config,
@@ -105,7 +115,7 @@ class TestSaveLoad:
 
 class TestVerification:
     def test_foreign_config_is_rejected(self, store, base_config, artifacts):
-        store.save(0, artifacts, base_config=base_config)
+        _save(store, 0, artifacts, base_config=base_config)
         other = BuildConfig.small(n_products=40)
         assert store.load(0, base_config=other) is None
         with pytest.raises(StoreError, match="fingerprint"):
@@ -114,7 +124,7 @@ class TestVerification:
     def test_truncated_payload_is_rejected(
         self, store, base_config, artifacts
     ):
-        store.save(0, artifacts, base_config=base_config)
+        _save(store, 0, artifacts, base_config=base_config)
         db = store.shard_dir(0) / "shard.db"
         db.write_bytes(db.read_bytes()[:-7])
         assert store.load(0, base_config=base_config) is None
@@ -124,14 +134,14 @@ class TestVerification:
     def test_garbage_manifest_is_rejected(
         self, store, base_config, artifacts
     ):
-        store.save(0, artifacts, base_config=base_config)
+        _save(store, 0, artifacts, base_config=base_config)
         store.manifest_path(0).write_text("{ not json")
         assert store.load(0, base_config=base_config) is None
         with pytest.raises(StoreError, match="unreadable"):
             store.load(0, base_config=base_config, strict=True)
 
     def test_future_schema_is_rejected(self, store, base_config, artifacts):
-        store.save(0, artifacts, base_config=base_config)
+        _save(store, 0, artifacts, base_config=base_config)
         manifest = json.loads(store.manifest_path(0).read_text())
         manifest["schema"] = STORE_SCHEMA + 1
         store.manifest_path(0).write_text(json.dumps(manifest))
@@ -143,9 +153,9 @@ class TestVerification:
         self, store, base_config, artifacts
     ):
         configs = [base_config] * 4
-        store.save(0, artifacts, base_config=base_config)
-        store.save(2, artifacts, base_config=base_config)
-        store.save(3, artifacts, base_config=base_config)
+        _save(store, 0, artifacts, base_config=base_config)
+        _save(store, 2, artifacts, base_config=base_config)
+        _save(store, 3, artifacts, base_config=base_config)
         (store.shard_dir(3) / "shard.db").write_bytes(b"corrupt")
         assert store.completed_shards(configs) == [0, 2]
 
@@ -154,42 +164,47 @@ class TestInjectableClock:
     """`created_at` comes from the injected clock, not ambient time.time.
 
     The manifest timestamp is documentation-only (outside the payload
-    sha256s and both config fingerprints); the injectable clock keeps
-    the store free of ambient wall-clock reads (repro-lint RNG004) and
-    lets this test pin the stamp exactly.
+    sha256s and both config fingerprints); ``write_store``'s injectable
+    clock keeps the store free of ambient wall-clock reads (repro-lint
+    RNG004) and lets this test pin the stamp exactly.
     """
 
-    def test_manifest_uses_injected_clock(
-        self, tmp_path, base_config, artifacts
-    ):
-        store = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 1234.5)
-        store.save(0, artifacts, base_config=base_config)
-        manifest = json.loads(store.manifest_path(0).read_text())
+    def test_manifest_uses_injected_clock(self, tmp_path, artifacts):
+        manifest_path = write_store(
+            tmp_path / "shard", artifacts, clock=lambda: 1234.5
+        )
+        manifest = json.loads(manifest_path.read_text())
         assert manifest["created_at"] == 1234.5
 
     def test_clock_does_not_affect_verification(
         self, tmp_path, base_config, artifacts
     ):
-        writer = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 7.0)
-        writer.save(0, artifacts, base_config=base_config)
-        # A store with a different clock still verifies and loads the
-        # checkpoint — the stamp is outside every integrity check.
-        reader = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 99.0)
-        loaded = reader.load(0, base_config=base_config, strict=True)
-        assert loaded is not None
-        stored, manifest = loaded
-        assert _offer_ids(stored) == _offer_ids(artifacts)
-        assert manifest["created_at"] == 7.0
+        stamped = {}
+        for stamp in (7.0, 99.0):
+            store = ShardCheckpointStore(tmp_path / f"ckpt-{stamp}")
+            write_store(store.shard_dir(0), artifacts, clock=lambda: stamp)
+            store.save(
+                0,
+                open_store(store.shard_dir(0), strict=True),
+                base_config=base_config,
+            )
+            # Adoption keeps the stamp, and the stamped store loads.
+            loaded = store.load(0, base_config=base_config, strict=True)
+            assert loaded is not None
+            stored, manifest = loaded
+            assert _offer_ids(stored) == _offer_ids(artifacts)
+            assert manifest["created_at"] == stamp
+            stamped[stamp] = manifest
+        # The stamp is outside every integrity check: both stores carry
+        # the same payload hashes and fingerprints.
+        first, second = stamped[7.0], stamped[99.0]
+        for key in ("files", "base_fingerprint", "config_fingerprint"):
+            assert first[key] == second[key]
 
-    def test_default_clock_is_wall_clock(
-        self, tmp_path, base_config, artifacts
-    ):
-        import time
-
+    def test_default_clock_is_wall_clock(self, tmp_path, artifacts):
         before = time.time()
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save(0, artifacts, base_config=base_config)
-        manifest = json.loads(store.manifest_path(0).read_text())
+        manifest_path = write_store(tmp_path / "shard", artifacts)
+        manifest = json.loads(manifest_path.read_text())
         assert before <= manifest["created_at"] <= time.time()
 
 
@@ -198,7 +213,7 @@ class TestSqliteBackend:
 
     def test_round_trip_returns_stored_shard(self, tmp_path, artifacts):
         store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save(0, artifacts, base_config=artifacts.config)
+        _save(store, 0, artifacts, base_config=artifacts.config)
         loaded = store.load(0, base_config=artifacts.config, strict=True)
         assert loaded is not None
         stored, _ = loaded
@@ -231,22 +246,41 @@ class TestSqliteBackend:
 
     def test_corruption_is_typed_store_error(self, tmp_path, artifacts):
         store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save(0, artifacts, base_config=artifacts.config)
+        _save(store, 0, artifacts, base_config=artifacts.config)
         db = store.shard_dir(0) / "shard.db"
         db.write_bytes(db.read_bytes()[:-32])
         assert store.load(0, base_config=artifacts.config) is None
         with pytest.raises(StoreError, match="sha256 mismatch"):
             store.load(0, base_config=artifacts.config, strict=True)
 
-    def test_save_over_a_killed_save_clears_its_stale_lock(
+    def test_in_memory_artifacts_are_refused(self, tmp_path, artifacts):
+        # Only a worker writes a shard store; save adopts and never
+        # writes one from in-memory artifacts.
+        store = ShardCheckpointStore(tmp_path / "ckpt")
+        with pytest.raises(StoreError, match="cannot adopt"):
+            store.save(0, artifacts, base_config=artifacts.config)
+        assert not store.shard_dir(0).exists()
+
+    def test_worker_rebuild_over_a_stale_lock_is_adopted(
         self, tmp_path, artifacts
     ):
         store = ShardCheckpointStore(tmp_path / "ckpt")
         store.shard_dir(0).mkdir(parents=True)
-        # A session killed mid-save leaves its writer.lock behind: the
-        # checkpoint is untrusted, and the rebuilt shard's save must
-        # not refuse itself.
+        # A worker killed mid-write leaves its writer.lock behind: the
+        # checkpoint is untrusted, and the rebuild must not refuse
+        # itself.
         (store.shard_dir(0) / "writer.lock").touch()
         assert store.load(0, base_config=artifacts.config) is None
-        store.save(0, artifacts, base_config=artifacts.config)
-        assert store.load(0, base_config=artifacts.config) is not None
+        config = replace(artifacts.config, store_dir=str(store.shard_dir(0)))
+        handle, _, _ = _build_one_shard(
+            config, shard=0, attempt=1, with_signatures=False
+        )
+        assert not (store.shard_dir(0) / "writer.lock").exists()
+        store.save(
+            0, handle.open(strict=True), base_config=artifacts.config
+        )
+        loaded = store.load(0, base_config=artifacts.config, strict=True)
+        assert loaded is not None
+        stored, manifest = loaded
+        assert manifest["shard"] == 0
+        assert _offer_ids(stored) == _offer_ids(artifacts)

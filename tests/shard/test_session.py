@@ -337,17 +337,17 @@ def _faulty_session(executor="serial", **overrides):
 
 @pytest.fixture(scope="module")
 def interrupted_checkpoints(tmp_path_factory):
-    """A session 'killed' with 2 of 3 shards done, checkpoints on disk.
+    """A session 'killed' with 2 of 3 shards done, their stores on disk.
 
     Shard 2 crashes on every attempt under ``failure_policy="degrade"``,
-    so the session completes having checkpointed exactly shards 0 and 1 —
-    the on-disk state a genuinely interrupted session would leave behind.
+    so the session completes having stored exactly shards 0 and 1 — the
+    on-disk state a genuinely interrupted session would leave behind.
     """
-    root = tmp_path_factory.mktemp("interrupted") / "ckpt"
+    root = tmp_path_factory.mktemp("interrupted") / "store"
     session = _faulty_session(
         fault_plan=_crash_forever(shard=2),
         failure_policy="degrade",
-        checkpoint_dir=root,
+        store_dir=root,
     ).build()
     assert session.health.failed_shards == (2,)
     assert session.shard_ids == (0, 1)
@@ -427,10 +427,10 @@ class TestFaultTolerantSessions:
         """Kill-then-resume: verified checkpoints short-circuit shards 0
         and 1, shard 2 rebuilds, and the merged results land byte-for-
         byte on the session-determinism pins — in both execution modes."""
-        checkpoint_dir = tmp_path / "resume"
-        shutil.copytree(interrupted_checkpoints, checkpoint_dir)
+        store_dir = tmp_path / "resume"
+        shutil.copytree(interrupted_checkpoints, store_dir)
         session = _faulty_session(
-            executor=executor, checkpoint_dir=checkpoint_dir
+            executor=executor, store_dir=store_dir
         ).build()
         health = session.health
         assert health.statuses == {
@@ -494,9 +494,10 @@ class TestSessionValidation:
         with pytest.raises(ValueError, match="hamming"):
             ShardedBenchmarkSession(_plan(), shard_metrics=("hamming",))
 
-    def test_nonpositive_sweep_k_rejected(self):
+    @pytest.mark.parametrize("sweep_k", [0, -1, 2.5, True])
+    def test_nonpositive_sweep_k_rejected(self, sweep_k):
         with pytest.raises(ValueError, match="sweep_k"):
-            ShardedBenchmarkSession(_plan(), sweep_k=0)
+            ShardedBenchmarkSession(_plan(), sweep_k=sweep_k)
 
     def test_unknown_failure_policy_rejected(self):
         with pytest.raises(ValueError, match="failure_policy"):

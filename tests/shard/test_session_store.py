@@ -255,23 +255,10 @@ class TestResumeAndFallback:
 
 
 class TestValidation:
-    def test_conflicting_checkpoint_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="must agree"):
-            ShardedBenchmarkSession(
-                _plan(),
-                store_dir=tmp_path / "store",
-                store_backend="sqlite",
-                checkpoint_dir=tmp_path / "elsewhere",
-            )
-
-    def test_matching_checkpoint_dir_accepted(self, tmp_path):
-        session = ShardedBenchmarkSession(
-            _plan(),
-            store_dir=tmp_path / "store",
-            store_backend="sqlite",
-            checkpoint_dir=tmp_path / "store",
-        )
-        assert session.checkpoint_dir == session.store_dir
+    def test_checkpoint_dir_is_gone(self, tmp_path):
+        # store_dir is the one session directory and the checkpoint.
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            ShardedBenchmarkSession(_plan(), checkpoint_dir=tmp_path)
 
     def test_unknown_backend(self, tmp_path):
         with pytest.raises(ValueError, match="store_backend"):

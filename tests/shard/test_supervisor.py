@@ -2,13 +2,15 @@
 
 These tests exercise supervision mechanics with a lightweight fake build
 function (module-level, so process pools can pickle it); checkpoint
-round trips use one small real build, since a checkpoint is an artifact
-store.  Real-session fault tolerance, with actual corpus builds and the
-pinned determinism hashes, lives in ``test_session.py``.
+round trips write one small real build as each shard's store, since a
+checkpoint is the artifact store a worker wrote.  Real-session fault
+tolerance, with actual corpus builds and the pinned determinism hashes,
+lives in ``test_session.py``.
 """
 
 import functools
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.errors import (
     ShardCrashError,
     ShardRetriesExhaustedError,
 )
-from repro.io.store import StoredShard
+from repro.io.store import StoredShard, StoredShardHandle, write_store
 from repro.shard import (
     FaultPlan,
     FaultSpec,
@@ -60,11 +62,11 @@ def _small_artifacts():
     return BenchmarkBuilder(BuildConfig.small(n_products=30)).build()
 
 
-def _artifacts_build(
-    config, *, shard, attempt, with_signatures, fault_plan=None
-):
-    """Real artifacts (built once per process) a checkpoint can store."""
-    return _small_artifacts(), None, 0.01
+def _store_build(config, *, shard, attempt, with_signatures, fault_plan=None):
+    """A worker's store: real artifacts (built once per process) written
+    into ``config.store_dir``, handed back by path."""
+    write_store(config.store_dir, _small_artifacts())
+    return StoredShardHandle(str(config.store_dir), shard), None, 0.01
 
 
 def _never_build(config, *, shard, attempt, with_signatures, fault_plan=None):
@@ -292,11 +294,15 @@ class TestSupervisorValidation:
 
 class TestCheckpointsThroughSupervisor:
     def test_second_run_loads_instead_of_building(self, tmp_path):
-        configs = _configs()
+        store = ShardCheckpointStore(tmp_path)
+        configs = [
+            replace(config, store_dir=str(store.shard_dir(shard)))
+            for shard, config in enumerate(_configs())
+        ]
         first = _supervisor(
             configs,
-            checkpoint_store=ShardCheckpointStore(tmp_path),
-            build_fn=_artifacts_build,
+            checkpoint_store=store,
+            build_fn=_store_build,
         )
         first_outcomes = first.run()
         assert all(o.source == "built" for o in first_outcomes)
