@@ -358,20 +358,21 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
     try:
         with tempfile.TemporaryDirectory() as scratch:
             store = Path(scratch) / "store"
-            seconds, session = _timed(
-                lambda: ShardedBenchmarkSession(
-                    plan,
-                    executor="serial",
-                    fault_plan=faults,
-                    shard_timeout=CHAOS_TIMEOUT,
-                    max_attempts=3,
-                    retry_backoff=0.1,
-                    store_dir=store,
-                ).build()
+            chaos = ShardedBenchmarkSession(
+                plan,
+                executor="serial",
+                fault_plan=faults,
+                shard_timeout=CHAOS_TIMEOUT,
+                max_attempts=3,
+                retry_backoff=0.1,
+                store_dir=store,
             )
+            seconds, session = _timed(chaos.build)
             recall, join_recall = _merged_recall(session)
+            # The session's configs (with its within-shard join) are the
+            # stores' resume keys, not the plan's.
             resumable = ShardCheckpointStore(store).completed_shards(
-                plan.shard_configs
+                chaos.shard_configs
             )
     except Exception as error:
         section["completed"] = False

@@ -12,7 +12,11 @@ an explicitly named step:
    (one tokenization/incidence-matrix/embedding pass for the whole corpus),
 6. ``blocking``  — optional (``BuildConfig.blocking_top_k > 0``): the
    corpus-level top-k candidate join producing labeled blocked pairs for
-   materialization-free matcher training,
+   materialization-free matcher training.  In a sharded session this
+   stage *is* the shard's within-shard sweep join: the session sets
+   ``blocking_top_k``/``blocking_metrics`` to its sweep's ``k`` and
+   shard metrics, so workers run the join where the data lives and the
+   ``store`` stage persists it,
 7. ``ratio:*``   — per-corner-case-ratio selection → splitting → pair
    generation → multi-class datasets.
 

@@ -24,6 +24,9 @@ hierarchy encodes those three classes:
 * :class:`StoreError` — an on-disk artifact store that refuses to open:
   truncated sidecar, schema-version mismatch, manifest/sha mismatch, or
   a concurrent second writer holding the store's write lock.
+* :class:`SweepJoinError` — a shard's persisted within-shard join does
+  not fit the universe the sweep adopts it into (row count, ``k`` or
+  metrics differ).  The sweep never recomputes such a join silently.
 * :class:`ServiceError` — the serving layer's family:
   :class:`ServiceOverloadError` (admission queue full — the typed shed
   signal callers are expected to catch and back off on),
@@ -54,6 +57,7 @@ __all__ = [
     "ShardTimeoutError",
     "ShardRetriesExhaustedError",
     "StoreError",
+    "SweepJoinError",
     "ServiceError",
     "ServiceOverloadError",
     "ServiceDeadlineError",
@@ -208,6 +212,16 @@ class StoreError(ReproError):
     is locked by a concurrent writer.  Session-level callers treat an
     unverifiable store like a missing checkpoint (rebuild the shard);
     strict callers surface this error instead.
+    """
+
+
+class SweepJoinError(ReproError):
+    """A shard's within-shard join cannot be adopted by the sweep.
+
+    Raised by :meth:`~repro.shard.sweep.ShardUniverse.adopt` when the
+    join a shard build persisted was computed over a different number of
+    rows, with a different ``k`` or under different metrics than the
+    session's sweep asks for — or when the shard carries no join at all.
     """
 
 

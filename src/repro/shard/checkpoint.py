@@ -51,9 +51,14 @@ from repro.io.store import (
     verify_store,
 )
 
-__all__ = ["ShardCheckpointStore", "config_fingerprint"]
+__all__ = ["ShardCheckpointStore", "config_fingerprint", "shard_store_dir"]
 
 _MANIFEST = "manifest.json"
+
+
+def shard_store_dir(root: Path | str, shard: int) -> Path:
+    """Where shard ``shard``'s store sits under a session directory."""
+    return Path(root) / f"shard-{shard:04d}"
 
 
 class ShardCheckpointStore:
@@ -68,7 +73,7 @@ class ShardCheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def shard_dir(self, shard: int) -> Path:
-        return self.root / f"shard-{shard:04d}"
+        return shard_store_dir(self.root, shard)
 
     def manifest_path(self, shard: int) -> Path:
         return self.shard_dir(shard) / _MANIFEST

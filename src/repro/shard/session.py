@@ -7,7 +7,12 @@ configs, :meth:`ShardedBenchmarkSession.build` runs
 **processes** (every build stage is serial Python, so process
 isolation is what parallelizes them), and a cross-shard blocking sweep
 joins every shard pair's universes into one deduplicated,
-provenance-tagged candidate set.  The
+provenance-tagged candidate set.  Each shard's own top-k join is part of
+its build: the session sets every shard config's ``blocking`` stage to
+the sweep's ``k`` and shard metrics (see
+:attr:`ShardedBenchmarkSession.shard_configs`), so the workers compute
+the within-shard joins in parallel and a shard store persists its join.
+The parent only adopts those joins and runs the cross-shard pairs.  The
 result is a :class:`ShardedArtifacts`: per-shard
 :class:`~repro.core.builder.BuildArtifacts` plus merged session-level
 views (candidates, benchmark, corpus, engine) that existing consumers —
@@ -41,9 +46,9 @@ from pathlib import Path
 
 from repro.blocking.candidates import BlockedPairSet, check_top_k
 from repro.core.benchmark import WDCProductsBenchmark
-from repro.core.builder import BuildArtifacts
+from repro.core.builder import BuildArtifacts, BuildConfig
 from repro.corpus.schema import SyntheticCorpus
-from repro.shard.checkpoint import ShardCheckpointStore
+from repro.shard.checkpoint import ShardCheckpointStore, shard_store_dir
 from repro.shard.faults import FaultPlan
 from repro.shard.merge import (
     MergedCandidates,
@@ -100,24 +105,27 @@ DEFAULT_SIGNATURE_THRESHOLD = 0.97
 
 def _sweep_universes(
     universes,
+    joins,
     *,
     k: int,
     cross_metrics: tuple[str, ...],
     n_shards: int,
-    shard_metrics: tuple[str, ...] | None = None,
     timings: dict[str, float] | None = None,
     sweep_mode: str = "signature",
     signature_threshold: float = DEFAULT_SIGNATURE_THRESHOLD,
     summaries: list[RowSignatures | None] | None = None,
     sink: MergedCandidateStore | None = None,
 ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
-    """Join every universe and every universe pair; merge both shapes.
+    """Merge every universe's own join with every universe pair's join.
 
     The one sweep implementation behind the session's corpus-level sweep
-    and the split-scoped recall recipe: per-universe joins run under
-    ``shard_metrics`` (default: each universe engine's full metric set),
-    universe pairs under the token-only ``cross_metrics``, and the merged
-    sets record the union of every metric actually joined.
+    and the split-scoped recall recipe.  ``joins`` yields universe
+    ``i``'s own top-``k`` join, bound to its namespaced blocker, in
+    universe order; the caller computes it (the split recipe's blocker)
+    or adopts it from a session shard's build
+    (:meth:`ShardUniverse.adopt`).  Universe pairs are joined here under
+    the token-only ``cross_metrics``, and the merged sets record the
+    union of every metric joined.
 
     In ``"signature"`` mode (the default) the universe pairs are pruned
     through a :class:`SignatureIndex` first: pairs with no possible
@@ -128,9 +136,9 @@ def _sweep_universes(
     here); ``"exhaustive"`` mode is the historical full bipartite sweep.
 
     Returns ``(completed, join_only, prune_stats)``; ``timings`` (when
-    given) receives one ``sweep:<i>→<j>`` row per executed join plus the
-    aggregate ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore``
-    rows.
+    given) receives one ``sweep:<i>→<i>`` row per universe join, one
+    ``sweep:<i>→<j>`` row per executed pair join, plus the aggregate
+    ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore`` rows.
 
     With a ``sink`` (a :class:`~repro.shard.merge.MergedCandidateStore`)
     the merged sets are streamed into its SQLite tables instead of being
@@ -142,16 +150,13 @@ def _sweep_universes(
     completed_sets: list[tuple[int, BlockedPairSet]] = []
     join_sets: list[tuple[int, BlockedPairSet]] = []
     used_metrics: dict[str, None] = {}
+    # ``joins`` may be lazy (computing or reading each join on demand),
+    # so each ``sweep:<i>→<i>`` row times that work as well.
+    joins = iter(joins)
     for universe in universes:
         with Timer() as timer:
-            blocker = universe.blocker()
-            metrics = (
-                blocker.engine.metric_names
-                if shard_metrics is None
-                else shard_metrics
-            )
-            used_metrics.update(dict.fromkeys(metrics))
-            join = blocker.candidates(k=k, metrics=metrics)
+            join = next(joins)
+            used_metrics.update(dict.fromkeys(join.metrics))
             join_sets.append((universe.shard, join))
             completed_sets.append(
                 (universe.shard, join.with_group_positives())
@@ -446,6 +451,12 @@ class ShardedArtifacts:
         ]
         completed, join_only, _ = _sweep_universes(
             universes,
+            (
+                universe.blocker().candidates(
+                    k=k, metrics=universe.engine.metric_names
+                )
+                for universe in universes
+            ),
             k=k,
             cross_metrics=cross_metrics,
             n_shards=self.n_shards,
@@ -472,6 +483,12 @@ class ShardedBenchmarkSession:
     worker processes (``None``: one per shard); ``"serial"`` builds them
     in this process.
 
+    Every shard build runs the session's within-shard sweep join as its
+    ``blocking`` stage (:attr:`shard_configs`): the session owns the
+    shard configs' ``blocking_top_k`` / ``blocking_metrics``, and a
+    shard's ``blocked_candidates`` is its sweep join (top-``sweep_k``
+    under ``shard_metrics``).
+
     ``store_dir`` is the one persistence option and switches the
     session out-of-core: each worker writes its shard's artifact store
     (:mod:`repro.io.store`) into ``<store_dir>/shard-NNNN`` itself and
@@ -481,9 +498,10 @@ class ShardedBenchmarkSession:
     candidates into ``<store_dir>/merged.db`` instead of materializing
     them.  The shard stores are the crash-resume checkpoint: a rerun
     over the same directory loads every verified shard instead of
-    rebuilding it.  Without ``store_dir`` workers return in-memory
-    artifacts and nothing is persisted.  ``store_backend`` accepts only
-    ``"sqlite"``, the one format left.
+    rebuilding it, its within-shard join included.  Without
+    ``store_dir`` workers return in-memory artifacts and nothing is
+    persisted.  ``store_backend`` accepts only ``"sqlite"``, the one
+    format left.
     """
 
     def __init__(
@@ -567,6 +585,35 @@ class ShardedBenchmarkSession:
         self.executor = executor
         self.max_workers = max_workers
 
+    @property
+    def _shard_join_metrics(self) -> tuple[str, ...]:
+        return self.shard_metrics or SimilarityEngine.METRICS
+
+    @property
+    def shard_configs(self) -> tuple[BuildConfig, ...]:
+        """The configs the session's workers build, in shard order.
+
+        The plan's configs with the within-shard sweep join as their
+        ``blocking`` stage (top-``sweep_k`` under the shard metrics) and,
+        with ``store_dir``, each shard's own store directory.  They are
+        the resume keys of the shard stores:
+        ``ShardCheckpointStore(store_dir).completed_shards(
+        session.shard_configs)`` lists the shards a rerun would load.
+        """
+        return tuple(
+            replace(
+                config,
+                blocking_top_k=self.sweep_k,
+                blocking_metrics=self._shard_join_metrics,
+                store_dir=(
+                    config.store_dir
+                    if self.store_dir is None
+                    else str(shard_store_dir(self.store_dir, shard))
+                ),
+            )
+            for shard, config in enumerate(self.plan.shard_configs)
+        )
+
     # ------------------------------------------------------------------ #
     def _build_shards(
         self,
@@ -588,19 +635,15 @@ class ShardedBenchmarkSession:
         artifacts and summaries, the session health report and the
         supervisor's timing rows (``shard:retries``, ``checkpoint:*``).
         """
-        configs = list(self.plan.shard_configs)
-        store = None
-        if self.store_dir is not None:
-            # Out-of-core mode: each worker writes its shard store into
-            # its own directory and returns a path handle — the rewrite
-            # happens *before* supervision so retries and checkpoints
-            # see the store-backed config (fingerprints leave store_dir
-            # out, so a moved store still resumes).
-            store = ShardCheckpointStore(self.store_dir)
-            configs = [
-                replace(config, store_dir=str(store.shard_dir(shard)))
-                for shard, config in enumerate(configs)
-            ]
+        # Retries and checkpoints see the session's configs: store-backed
+        # (fingerprints leave store_dir out, so a moved store still
+        # resumes) and carrying the within-shard join.
+        configs = self.shard_configs
+        store = (
+            None
+            if self.store_dir is None
+            else ShardCheckpointStore(self.store_dir)
+        )
         supervisor = ShardSupervisor(
             configs,
             session_seed=self.plan.seed,
@@ -639,9 +682,11 @@ class ShardedBenchmarkSession:
         timings: dict[str, float],
         summaries: list[RowSignatures | None] | None = None,
     ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
-        """Per-shard joins + cross-shard pair sweeps, merged both ways.
+        """Adopted per-shard joins + cross-shard pair sweeps, merged.
 
-        In store-backed mode the merged sets are streamed into
+        Every shard's within-shard join comes from its build (its
+        ``blocked_candidates``); only the cross-shard pairs are joined
+        here.  In store-backed mode the merged sets are streamed into
         ``<store_dir>/merged.db`` and come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
         """
@@ -655,9 +700,16 @@ class ShardedBenchmarkSession:
         try:
             return _sweep_universes(
                 universes,
+                (
+                    universe.adopt(
+                        artifacts.blocked_candidates,
+                        k=self.sweep_k,
+                        metrics=self._shard_join_metrics,
+                    )
+                    for universe, artifacts in zip(universes, shards)
+                ),
                 k=self.sweep_k,
                 cross_metrics=self.sweep_metrics,
-                shard_metrics=self.shard_metrics,
                 n_shards=len(shards),
                 timings=timings,
                 sweep_mode=self.sweep_mode,

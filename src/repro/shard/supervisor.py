@@ -36,16 +36,27 @@ verified checkpoints are loaded up front (those shards never enter the
 build waves) and every freshly built shard's store, which its worker
 wrote, is adopted on completion — a killed session resumes by
 rebuilding only what is missing.
+
+Every pool worker runs :func:`cap_blas_threads` as its initializer, so
+a pool rebuilt after a crash is capped too.  Each worker is one build on
+one core; bundled OpenBLAS would otherwise start a thread per core in
+every worker, and two workers on two cores would oversubscribe the CPU
+in every dense kernel of the build (the LSA embedding fit, the
+``lsa_embedding`` join).  The serial executor and the parent process
+keep their thread pools.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import time
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +82,7 @@ __all__ = [
     "ShardSupervisor",
     "respawn_config",
     "check_executor",
+    "cap_blas_threads",
     "EXECUTORS",
     "FAILURE_POLICIES",
 ]
@@ -80,6 +92,38 @@ EXECUTORS = ("process", "serial")
 FAILURE_POLICIES = ("raise", "degrade")
 
 _SEED_MODULUS = 2**32
+
+# (package, library glob in ``<site-packages>/<package>.libs``, the
+# library's thread-count setter): the OpenBLAS builds numpy and scipy
+# wheels bundle, each with its own thread pool.
+_BLAS_THREAD_SETTERS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def cap_blas_threads() -> tuple[str, ...]:
+    """Set every bundled OpenBLAS of numpy and scipy to one thread.
+
+    The process-pool initializer.  Libraries are looked up in the
+    ``<package>.libs`` directory beside each installed package and
+    called through :mod:`ctypes`; a library or setter symbol that is
+    missing — a wheel with other names, a system BLAS — is skipped.
+    Returns the file names of the libraries capped.
+    """
+    capped = []
+    for package, pattern, setter in _BLAS_THREAD_SETTERS:
+        root = Path(importlib.import_module(package).__file__).parent.parent
+        for path in sorted((root / f"{package}.libs").glob(pattern)):
+            try:
+                set_threads = getattr(ctypes.CDLL(str(path)), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+            capped.append(path.name)
+    return tuple(capped)
 
 
 def check_executor(executor: str, max_workers: int | None) -> None:
@@ -292,6 +336,12 @@ class ShardSupervisor:
     runs each wave on a pool of ``max_workers`` processes (``None``: one
     per shard), and ``"serial"`` runs it in this process.
 
+    With a ``checkpoint_store``, every config must build into that
+    store's directory for its shard (``store_dir ==
+    checkpoint_store.shard_dir(shard)``) — the only store the supervisor
+    can adopt — or the constructor raises :class:`ValueError` before
+    anything is built.
+
     ``build_fn`` defaults to :func:`_build_one_shard`; tests inject a
     lightweight module-level callable with the same signature to
     exercise supervision without paying for real corpus builds.
@@ -319,6 +369,17 @@ class ShardSupervisor:
                 f"{failure_policy!r}"
             )
         self.configs = list(configs)
+        if checkpoint_store is not None:
+            for shard, config in enumerate(self.configs):
+                expected = checkpoint_store.shard_dir(shard)
+                if config.store_dir is None or (
+                    Path(config.store_dir).resolve() != expected.resolve()
+                ):
+                    raise ValueError(
+                        f"shard {shard} builds into store_dir="
+                        f"{config.store_dir!r}, but its checkpoint store "
+                        f"adopts only {expected}"
+                    )
         self.session_seed = session_seed
         self.executor = executor
         self.max_workers = max_workers
@@ -339,7 +400,9 @@ class ShardSupervisor:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             workers = self.max_workers or len(self.configs)
-            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=cap_blas_threads
+            )
         return self._pool
 
     def _kill_pool(self) -> None:

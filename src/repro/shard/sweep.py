@@ -18,6 +18,14 @@ enter a combined universe — see :mod:`repro.shard.namespace`.
 Cross-shard joins run on the token metrics only: each shard's LSA
 embedding model is fitted on its own corpus, so embedding vectors are not
 comparable across shards (``CROSS_SHARD_METRICS``).
+
+The *within*-shard join needs no shared universe, so it runs where the
+data lives: a session shard's build computes it as its ``blocking``
+stage over raw ids (see :mod:`repro.core.builder`), and the sweep only
+rebinds it to the namespaced universe with :meth:`ShardUniverse.adopt`.
+Join rows are row-indexed, and namespacing is a bijection inside one
+shard, so the rebound rows are exactly the join the namespaced universe
+would compute itself.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 from repro.blocking.candidates import BlockedPairSet, CandidateBlocker
 from repro.core.builder import BuildArtifacts
 from repro.corpus.schema import ProductOffer
+from repro.errors import SweepJoinError
 from repro.shard.namespace import namespace_id, namespace_offer, namespace_offers
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.registry import validate_metric_names
@@ -78,6 +87,47 @@ class ShardUniverse:
         """A namespaced blocker over this universe alone."""
         return CandidateBlocker(
             self.engine, offers=self.offers, group_labels=self.labels
+        )
+
+    def adopt(
+        self,
+        join: BlockedPairSet | None,
+        *,
+        k: int,
+        metrics: tuple[str, ...],
+    ) -> BlockedPairSet:
+        """This universe's own top-``k`` join, rebound to its blocker.
+
+        ``join`` is the full-universe join computed elsewhere — a shard
+        build's ``blocking`` stage over raw ids — whose rows index this
+        universe's engine.  The pairs are kept as they are; only the
+        blocker (namespaced offers and labels) changes.  A join over a
+        different row count, with another ``k`` or under other metrics
+        (or no join at all) raises :class:`~repro.errors.SweepJoinError`.
+        """
+        if join is None:
+            raise SweepJoinError(
+                f"shard {self.shard} carries no within-shard join"
+            )
+        rows = len(self)
+        if (
+            len(join.blocker) != rows
+            or join.n_queries != rows
+            or join.k != k
+            or tuple(join.metrics) != tuple(metrics)
+        ):
+            raise SweepJoinError(
+                f"shard {self.shard}: the within-shard join covers "
+                f"{join.n_queries} of {len(join.blocker)} rows at k="
+                f"{join.k} under {tuple(join.metrics)}, but the sweep "
+                f"needs all {rows} rows at k={k} under {tuple(metrics)}"
+            )
+        return BlockedPairSet(
+            self.blocker(),
+            join.pairs,
+            k=join.k,
+            metrics=join.metrics,
+            n_queries=join.n_queries,
         )
 
     def restrict(self, rows: Sequence[int] | np.ndarray) -> "ShardUniverse":

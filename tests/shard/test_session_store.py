@@ -17,15 +17,19 @@ import sqlite3
 
 import pytest
 
+from repro.blocking.candidates import CandidateBlocker
 from repro.core import BuildConfig
-from repro.errors import StoreError
+from repro.errors import StoreError, SweepJoinError
 from repro.io.store import StoredShard, StoredShardHandle
 from repro.shard import (
     MergedCandidates,
+    ShardCheckpointStore,
     ShardPlan,
     ShardedBenchmarkSession,
     StoredMergedCandidates,
+    shard_universe,
 )
+from repro.similarity.engine import SimilarityEngine
 from repro.shard.supervisor import _build_one_shard
 
 # The same geometry and sha256 pins as tests/shard/test_session.py: the
@@ -252,6 +256,93 @@ class TestResumeAndFallback:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match="sha256 mismatch"):
             open_store(root / "shard-0000", strict=True)
+
+
+def _rows(blocked):
+    return [
+        (pair.row_a, pair.row_b, pair.score, pair.metric, pair.query_row,
+         pair.rank)
+        for pair in blocked.pairs
+    ]
+
+
+class TestWithinShardJoinInTheBuild:
+    """Each shard's build computes and persists its within-shard sweep
+    join; the parent only adopts it."""
+
+    def test_persisted_join_equals_the_namespaced_join(self, store_session):
+        assert store_session.n_shards == N_SHARDS
+        for shard, stored in zip(
+            store_session.shard_ids, store_session.shards
+        ):
+            persisted = stored.blocked_candidates
+            oracle = shard_universe(stored, shard).blocker().candidates(
+                k=SWEEP_K, metrics=SimilarityEngine.METRICS
+            )
+            assert persisted.k == SWEEP_K
+            assert persisted.metrics == SimilarityEngine.METRICS
+            assert persisted.n_queries == oracle.n_queries
+            assert _rows(persisted) == _rows(oracle)
+
+    def test_resumed_session_runs_no_within_shard_join(
+        self, store_root, store_session, monkeypatch
+    ):
+        calls = []
+        original = CandidateBlocker.candidates
+
+        def recording(self, *args, **kwargs):
+            calls.append(kwargs.get("exclude_same_partition") is not None)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateBlocker, "candidates", recording)
+        session = _store_session(store_root / "serial").build()
+        assert set(session.health.statuses.values()) == {"checkpoint"}
+        assert calls and all(calls)
+        assert (
+            _candidates_fingerprint(session.merged_candidates)
+            == EXPECTED_MERGED_SHA256
+        )
+
+    def test_every_shard_is_resumable_under_the_session_configs(
+        self, store_root, store_session
+    ):
+        session = _store_session(store_root / "serial")
+        store = ShardCheckpointStore(store_root / "serial")
+        assert store.completed_shards(session.shard_configs) == list(
+            range(N_SHARDS)
+        )
+        # The plan's own configs run no join, so they key no session store.
+        assert store.completed_shards(session.plan.shard_configs) == []
+
+    def test_session_owns_the_blocking_fields(self, tmp_path):
+        session = _store_session(tmp_path, shard_metrics=("cosine",))
+        for shard, config in enumerate(session.shard_configs):
+            assert config.blocking_top_k == SWEEP_K
+            assert config.blocking_metrics == ("cosine",)
+            assert config.store_dir == str(tmp_path / f"shard-{shard:04d}")
+        assert not tmp_path.joinpath("shard-0000").exists()
+
+    def test_mismatched_join_is_a_typed_error(self, store_session):
+        stored = store_session.shards[0]
+        universe = shard_universe(stored, 0)
+        join = stored.blocked_candidates
+        adopted = universe.adopt(
+            join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+        )
+        assert adopted.pairs is join.pairs
+        assert adopted.blocker.offer_ids[0].startswith("s0")
+        with pytest.raises(SweepJoinError, match="k=11"):
+            universe.adopt(
+                join, k=SWEEP_K + 1, metrics=SimilarityEngine.METRICS
+            )
+        with pytest.raises(SweepJoinError, match=r"under \('cosine',\)"):
+            universe.adopt(join, k=SWEEP_K, metrics=("cosine",))
+        with pytest.raises(SweepJoinError, match="no within-shard join"):
+            universe.adopt(None, k=SWEEP_K, metrics=("cosine",))
+        with pytest.raises(SweepJoinError, match="rows"):
+            universe.restrict([0, 1]).adopt(
+                join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+            )
 
 
 class TestValidation:

@@ -44,6 +44,18 @@ from repro.similarity.signatures import (
 SWEEP_K = 10
 
 
+def _sweep(universes, **kwargs):
+    """The sweep over ``universes``, each one's own top-k join computed
+    on demand (the ``ShardedArtifacts.split_candidates`` recipe)."""
+    joins = (
+        universe.blocker().candidates(
+            k=kwargs["k"], metrics=universe.engine.metric_names
+        )
+        for universe in universes
+    )
+    return _sweep_universes(universes, joins, **kwargs)
+
+
 # --------------------------------------------------------------------- #
 # prefix/length math
 # --------------------------------------------------------------------- #
@@ -346,10 +358,10 @@ class TestSweepParity:
     @pytest.fixture(scope="class")
     def swept(self, universes):
         kwargs = dict(k=SWEEP_K, cross_metrics=("cosine", "dice"), n_shards=4)
-        exhaustive = _sweep_universes(
+        exhaustive = _sweep(
             universes, sweep_mode="exhaustive", **kwargs
         )
-        signature = _sweep_universes(
+        signature = _sweep(
             universes,
             sweep_mode="signature",
             signature_threshold=self.TAU,
@@ -390,7 +402,7 @@ class TestSweepParity:
 
     def test_signature_timings_rows_recorded(self, universes):
         timings: dict[str, float] = {}
-        _sweep_universes(
+        _sweep(
             universes,
             k=SWEEP_K,
             cross_metrics=("cosine",),
@@ -417,8 +429,8 @@ class TestSweepParity:
             RowSignatures.from_engine(universe.engine)
             for universe in universes
         ]
-        _, inline_join, _ = _sweep_universes(universes, **kwargs)
-        _, prebuilt_join, _ = _sweep_universes(
+        _, inline_join, _ = _sweep(universes, **kwargs)
+        _, prebuilt_join, _ = _sweep(
             universes, summaries=summaries, **kwargs
         )
         assert _all_keys(inline_join) == _all_keys(prebuilt_join)

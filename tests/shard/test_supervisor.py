@@ -8,9 +8,11 @@ tolerance, with actual corpus builds and the pinned determinism hashes,
 lives in ``test_session.py``.
 """
 
+import ctypes
 import functools
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ from repro.shard import (
     ShardSupervisor,
     respawn_config,
 )
+import repro.shard.supervisor as supervisor_module
+from repro.shard.supervisor import cap_blas_threads
 
 SESSION_SEED = 42
 
@@ -79,6 +83,32 @@ def _hang_second_shard(
     if shard == 1 and attempt == 1:
         time.sleep(30.0)
     return {"shard": shard, "attempt": attempt}, None, 0.01
+
+
+_BUILD_CALLS = []
+
+
+def _counting_build(config, *, shard, attempt, with_signatures, fault_plan=None):
+    _BUILD_CALLS.append(shard)
+    return _fake_build(
+        config, shard=shard, attempt=attempt, with_signatures=with_signatures
+    )
+
+
+def _numpy_blas_threads():
+    """numpy's OpenBLAS thread count in this process (None: no symbol)."""
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        getter = getattr(
+            ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None
+        )
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
 
 
 def _supervisor(configs=None, **overrides):
@@ -290,6 +320,74 @@ class TestSupervisorValidation:
     ):
         with pytest.raises(ValueError, match="max_workers"):
             _supervisor(executor=executor, max_workers=max_workers)
+
+
+class TestCheckpointStoreDirs:
+    """A config that builds anywhere but its checkpoint store's shard
+    directory is rejected at construction, before any build runs."""
+
+    @pytest.mark.parametrize("where", ["memory", "elsewhere"])
+    def test_foreign_store_dir_rejected_before_building(
+        self, tmp_path, where
+    ):
+        _BUILD_CALLS.clear()
+        store = ShardCheckpointStore(tmp_path / "session")
+        configs = [
+            replace(config, store_dir=str(store.shard_dir(shard)))
+            for shard, config in enumerate(_configs())
+        ]
+        configs[1] = replace(
+            configs[1],
+            store_dir=(
+                None if where == "memory" else str(tmp_path / "shard-0001")
+            ),
+        )
+        with pytest.raises(ValueError, match="shard 1 builds into"):
+            _supervisor(
+                configs, checkpoint_store=store, build_fn=_counting_build
+            )
+        assert _BUILD_CALLS == []
+
+
+class TestBlasThreadCap:
+    def test_pool_workers_run_one_blas_thread(self):
+        if _numpy_blas_threads() is None:
+            pytest.skip(
+                "numpy's bundled OpenBLAS exports no "
+                "scipy_openblas_get_num_threads64_"
+            )
+        supervisor = _supervisor(executor="process", max_workers=2)
+        pool = supervisor._ensure_pool()
+        try:
+            threads = pool.submit(_numpy_blas_threads).result()
+        finally:
+            supervisor._kill_pool()
+        assert threads == 1
+
+    def test_no_matching_library_is_a_no_op(self, tmp_path, monkeypatch):
+        # A package installed under tmp_path, whose ``.libs`` directory
+        # holds first nothing, then a matching file that is no library.
+        (tmp_path / "blasless").mkdir()
+        (tmp_path / "blasless" / "__init__.py").write_text("")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(
+            supervisor_module,
+            "_BLAS_THREAD_SETTERS",
+            (
+                (
+                    "blasless",
+                    "libscipy_openblas64_*.so",
+                    "scipy_openblas_set_num_threads64_",
+                ),
+                # numpy's real library, asked for a symbol it lacks.
+                ("numpy", "libscipy_openblas64_*.so", "no_such_setter"),
+            ),
+        )
+        assert cap_blas_threads() == ()
+        libs = tmp_path / "blasless.libs"
+        libs.mkdir()
+        (libs / "libscipy_openblas64_-fake.so").write_bytes(b"not an ELF")
+        assert cap_blas_threads() == ()
 
 
 class TestCheckpointsThroughSupervisor:
