@@ -136,48 +136,14 @@ class BlockedPairSet:
         join-only recall recording and the training-shaped completed set
         without running the top-k sweep twice.  Returns a new set; pairs
         keep their order with the completed positives appended (metric
-        ``"group"``, rank ``-1``, cosine score), exactly as the inline
-        completion has always ordered them.
+        ``"group"``, rank ``-1``, cosine score) by
+        :meth:`CandidateBlocker.group_positives`.
         """
-        blocker = self.blocker
-        group_ids = blocker._group_ids
-        if group_ids is None:
-            raise ValueError("with_group_positives needs group labels")
-        seen = {
-            key
-            for pair in self.pairs
-            if (key := blocker._pair_key(pair.row_a, pair.row_b)) is not None
-        }
-        pairs = list(self.pairs)
-        members_by_group: dict[int, list[int]] = {}
-        for row, group in enumerate(group_ids):
-            members_by_group.setdefault(int(group), []).append(row)
-        missing: list[tuple[int, int]] = []
-        for group in sorted(members_by_group):
-            members = members_by_group[group]
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    key = blocker._pair_key(a, b)
-                    if key is not None and key not in seen:
-                        seen.add(key)
-                        missing.append((a, b))
-        if missing:
-            scores = blocker.engine.pair_features_batch(
-                missing, metrics=("cosine",)
-            )[:, 0]
-            pairs.extend(
-                BlockedPair(
-                    row_a=a,
-                    row_b=b,
-                    score=float(score),
-                    metric="group",
-                    query_row=a,
-                    rank=-1,
-                )
-                for (a, b), score in zip(missing, scores)
-            )
+        pairs = self.pairs + self.blocker.group_positives(
+            [(pair.row_a, pair.row_b) for pair in self.pairs]
+        )
         return BlockedPairSet(
-            blocker,
+            self.blocker,
             pairs,
             k=self.k,
             metrics=self.metrics,
@@ -294,6 +260,60 @@ class CandidateBlocker:
             if key_a < key_b
             else key_b * self._key_span + key_a
         )
+
+    def group_positives(
+        self, row_pairs: np.ndarray | Sequence[tuple[int, int]]
+    ) -> list[BlockedPair]:
+        """Every within-group pair that a join's ``row_pairs`` misses.
+
+        The completion behind :meth:`BlockedPairSet.with_group_positives`,
+        over bare ``(row_a, row_b)`` rows, so a join that sits in a store
+        completes without a :class:`BlockedPair` per row.  A pair counts
+        as surfaced when its offer-identity key is among the keys of
+        ``row_pairs``.  Groups are visited in group-id order and members
+        in row order, and two rows of one offer never pair.  Each missing
+        pair comes back with metric ``"group"``, rank ``-1`` and its
+        cosine score.
+        """
+        group_ids = self._group_ids
+        if group_ids is None:
+            raise ValueError("group completion needs group labels")
+        rows = np.asarray(row_pairs, dtype=np.intp).reshape(-1, 2)
+        row_keys = self._pair_keys_by_row
+        key_a, key_b = row_keys[rows[:, 0]], row_keys[rows[:, 1]]
+        low, high = np.minimum(key_a, key_b), np.maximum(key_a, key_b)
+        distinct = low != high
+        seen = set(
+            (low[distinct] * self._key_span + high[distinct]).tolist()
+        )
+        members_by_group: dict[int, list[int]] = {}
+        for row, group in enumerate(group_ids):
+            members_by_group.setdefault(int(group), []).append(row)
+        missing: list[tuple[int, int]] = []
+        for group in sorted(members_by_group):
+            members = members_by_group[group]
+            for i, a in enumerate(members):
+                for b in members[i + 1 :]:
+                    key = self._pair_key(a, b)
+                    if key is not None and key not in seen:
+                        seen.add(key)
+                        missing.append((a, b))
+        if not missing:
+            return []
+        scores = self.engine.pair_features_batch(
+            missing, metrics=("cosine",)
+        )[:, 0]
+        return [
+            BlockedPair(
+                row_a=a,
+                row_b=b,
+                score=float(score),
+                metric="group",
+                query_row=a,
+                rank=-1,
+            )
+            for (a, b), score in zip(missing, scores)
+        ]
 
     def candidates(
         self,

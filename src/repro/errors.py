@@ -209,7 +209,9 @@ class StoreError(ReproError):
 
     Raised by :mod:`repro.io.store` when a store is truncated, carries a
     different schema version, fails its streamed sha256 verification, or
-    is locked by a concurrent writer.  Session-level callers treat an
+    is locked by a concurrent writer, and by
+    :meth:`~repro.shard.merge.StoredMergedCandidates.open` for a file
+    that is no merged store or lacks the requested table.  Session-level callers treat an
     unverifiable store like a missing checkpoint (rebuild the shard);
     strict callers surface this error instead.
     """
@@ -218,7 +220,8 @@ class StoreError(ReproError):
 class SweepJoinError(ReproError):
     """A shard's within-shard join cannot be adopted by the sweep.
 
-    Raised by :meth:`~repro.shard.sweep.ShardUniverse.adopt` when the
+    Raised by :meth:`~repro.shard.sweep.ShardUniverse.adopt` and
+    :meth:`~repro.shard.sweep.ShardUniverse.adopt_stored` when the
     join a shard build persisted was computed over a different number of
     rows, with a different ``k`` or under different metrics than the
     session's sweep asks for — or when the shard carries no join at all.

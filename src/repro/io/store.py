@@ -899,11 +899,16 @@ class StoredShard:
     def __reduce__(self):
         return (_reopen_stored_shard, (str(self.directory),))
 
+    @property
+    def database(self) -> Path:
+        """The store's SQLite file (``shard.db``)."""
+        return self.directory / _DB
+
     @cached_property
     def _connection(self) -> sqlite3.Connection:
         # Read-only URI open: a committed store is immutable, and a
         # read-only handle can never invalidate the manifest's sha256.
-        uri = f"file:{self.directory / _DB}?mode=ro"
+        uri = f"file:{self.database}?mode=ro"
         return sqlite3.connect(uri, uri=True, check_same_thread=False)
 
     def close(self) -> None:
@@ -1154,6 +1159,20 @@ class StoredShard:
             metrics=tuple(info["metrics"]),
             n_queries=info["n_queries"],
         )
+
+    def blocked_row_pairs(self) -> np.ndarray | None:
+        """The persisted join's ``(row_a, row_b)`` columns, in join order.
+
+        An ``(n, 2)`` row array: what group completion needs of a join,
+        read without building the :class:`BlockedPair` objects of
+        :attr:`blocked_candidates`.
+        """
+        if self.manifest.get("blocked") is None:
+            return None
+        rows = self._connection.execute(
+            "SELECT row_a, row_b FROM blocked_pairs ORDER BY position"
+        ).fetchall()
+        return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
     @property
     def blocker(self) -> CandidateBlocker | None:

@@ -32,7 +32,6 @@ from repro.shard.merge import (
     MergedCandidates,
     MergedCandidateStore,
     StoredMergedCandidates,
-    iter_merged_candidates,
     merge_benchmarks,
     merge_candidate_sets,
     merge_corpora,
@@ -100,7 +99,6 @@ __all__ = [
     "MergedCandidateStore",
     "StoredMergedCandidates",
     "MERGED_SCHEMA",
-    "iter_merged_candidates",
     "merge_benchmarks",
     "merge_candidate_sets",
     "merge_corpora",

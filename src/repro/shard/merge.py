@@ -18,28 +18,33 @@ Two merges happen at the end of a sharded session:
   across shards in shard order with namespaced offers, which a plain
   :class:`~repro.eval.runner.ExperimentRunner` consumes unchanged.
 
-Both merges exist in two physical shapes.  The historical in-memory
-shape materializes python lists (:class:`MergedCandidates`).  The
-out-of-core shape streams the *same* candidate iterator into a
-self-contained SQLite file (:class:`MergedCandidateStore` →
-``merged.db``) whose dedup is an ``INSERT OR IGNORE`` over canonical
-unordered pair keys.  Each candidate table streams through one
-``executemany`` and each distinct offer is written once; the first-win
-dedup is the same.  The file is served back as
+The candidate merge exists in two physical shapes.  The in-memory shape
+(:func:`merge_candidate_sets`) folds ``BlockedPairSet`` values into
+python lists (:class:`MergedCandidates`) with a python-set first-win
+dedup.  The out-of-core shape (:class:`MergedCandidateStore` →
+``merged.db``) runs the merge in SQLite, where a store-backed session's
+rows already are: every shard's join is selected straight out of that
+shard's ``shard.db`` with ``INSERT OR IGNORE … SELECT``, the namespaced
+ids, canonical pair keys and provenance being SQL expressions, so no
+within-shard candidate passes through python.  Only the small sets (each
+shard's completed group positives and the cross-shard sweeps) are
+inserted from python.  Dedup is ``INSERT OR IGNORE`` over canonical
+unordered pair keys in the in-memory merge's order, so both shapes keep
+the same first-win survivors.  The file is served back as
 :class:`StoredMergedCandidates` — a lazy query view with windowed
 iteration and SQL aggregates, duck-type compatible with
 :class:`MergedCandidates` so recall and dataset consumers run unchanged
-without a merged copy in RAM.  One shared generator feeds both shapes,
-so python-set dedup and SQL first-win dedup see identical insertion
-order and keep byte-identical survivors.
+without a merged copy in RAM.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +53,7 @@ from repro.blocking.candidates import BlockedPairSet
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.datasets import LabeledPair, MulticlassDataset, PairDataset
 from repro.corpus.schema import ProductOffer, SyntheticCorpus
+from repro.errors import StoreError
 from repro.io.store import OFFER_COLUMNS, offer_to_row, row_to_offer
 from repro.shard.namespace import (
     namespace_id,
@@ -61,8 +67,8 @@ __all__ = [
     "MergedCandidates",
     "MergedCandidateStore",
     "StoredMergedCandidates",
+    "StoredShardJoin",
     "MERGED_SCHEMA",
-    "iter_merged_candidates",
     "merge_candidate_sets",
     "merge_benchmarks",
     "merge_corpora",
@@ -171,71 +177,52 @@ def provenance_tag(query_shard: int, candidate_shard: int, metric: str) -> str:
     return f"shard:{int(query_shard)}→{int(candidate_shard)}:{metric}"
 
 
-def _iter_blocked(
-    blocked: BlockedPairSet,
-    shard_of_row: np.ndarray | int,
-    seen: set[tuple[str, str]] | None,
-) -> Iterator[MergedCandidate]:
-    """Yield ``blocked``'s pairs (already namespaced) as merged candidates.
+# One merged candidate's fields, in :class:`MergedCandidate` order:
+# ``(offer_a, offer_b, label, score, metric, provenance)``.
+_CandidateFields = tuple[ProductOffer, ProductOffer, int, float, str, str]
 
-    ``shard_of_row`` maps engine rows to shard ids — a scalar for a
-    within-shard set, the partition array for a cross-shard sweep.
-    ``seen`` enables python-set dedup; ``None`` yields every occurrence
-    in the same order (a SQL sink dedups downstream on the identical
-    canonical keys, so both consumers keep the same first-win survivors).
+
+def _iter_blocked(
+    blocked: BlockedPairSet, shard_of_row: np.ndarray | int
+) -> Iterator[_CandidateFields]:
+    """Yield every pair of ``blocked`` (already namespaced), in order.
+
+    Each pair comes as its :class:`MergedCandidate` fields.  ``shard_of_row`` maps
+    engine rows to shard ids — a scalar for a within-shard set, the
+    partition array for a cross-shard sweep.
     """
     offers = blocked.blocker.offers
     labels = blocked.blocker.group_labels
     if offers is None or labels is None:
         raise ValueError("merging needs blockers built with offers and labels")
-    scalar_shard = shard_of_row if isinstance(shard_of_row, int) else None
+    shards = None if isinstance(shard_of_row, int) else shard_of_row.tolist()
+    tags: dict[tuple[int, int, str], str] = {}
     for pair in blocked.pairs:
-        offer_a, offer_b = offers[pair.row_a], offers[pair.row_b]
-        if seen is not None:
-            a, b = offer_a.offer_id, offer_b.offer_id
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-        if scalar_shard is not None:
-            query_shard = candidate_shard = scalar_shard
+        a, b = pair.row_a, pair.row_b
+        if shards is None:
+            direction = (shard_of_row, shard_of_row, pair.metric)
         else:
-            query_shard = int(shard_of_row[pair.query_row])
-            candidate = (
-                pair.row_b if pair.row_a == pair.query_row else pair.row_a
-            )
-            candidate_shard = int(shard_of_row[candidate])
-        yield MergedCandidate(
-            offer_a=offer_a,
-            offer_b=offer_b,
-            label=int(labels[pair.row_a] == labels[pair.row_b]),
-            score=pair.score,
-            metric=pair.metric,
-            provenance=provenance_tag(
-                query_shard, candidate_shard, pair.metric
-            ),
+            query = pair.query_row
+            candidate = b if a == query else a
+            direction = (shards[query], shards[candidate], pair.metric)
+        tag = tags.get(direction)
+        if tag is None:
+            tag = tags[direction] = provenance_tag(*direction)
+        yield (
+            offers[a],
+            offers[b],
+            int(labels[a] == labels[b]),
+            pair.score,
+            pair.metric,
+            tag,
         )
 
 
-def iter_merged_candidates(
-    shard_sets: Sequence[tuple[int, BlockedPairSet]],
+def _iter_cross(
     cross_sets: Sequence[tuple[tuple[int, int], BlockedPairSet, np.ndarray]],
-    *,
-    dedup: bool = True,
-) -> Iterator[MergedCandidate]:
-    """Stream the session's merged candidates in canonical merge order.
-
-    Consumes ``shard_sets`` then ``cross_sets`` in the given order (the
-    session passes shard order, then lexicographic pair order).  With
-    ``dedup=True`` the stream is the exact in-memory merged set; with
-    ``dedup=False`` duplicates ride along for a downstream first-win
-    sink (``INSERT OR IGNORE`` over the same canonical keys).
-    """
-    seen: set[tuple[str, str]] | None = set() if dedup else None
-    for shard, blocked in shard_sets:
-        yield from _iter_blocked(blocked, int(shard), seen)
+) -> Iterator[_CandidateFields]:
     for _, blocked, partition in cross_sets:
-        yield from _iter_blocked(blocked, partition, seen)
+        yield from _iter_blocked(blocked, partition)
 
 
 def merge_candidate_sets(
@@ -253,14 +240,39 @@ def merge_candidate_sets(
     ``partition`` mapping the combined engine's rows to shard ids.  Both
     are consumed in the given order, and all blockers must carry
     namespaced offers/labels, so dedup keys are globally unique and the
-    merge is deterministic by construction.
+    first-win merge is deterministic by construction.
     """
-    return MergedCandidates(
-        list(iter_merged_candidates(shard_sets, cross_sets, dedup=True)),
-        k=k,
-        metrics=tuple(metrics),
-        n_shards=n_shards,
+    seen: set[tuple[str, str]] = set()
+    pairs: list[MergedCandidate] = []
+    within = (
+        _iter_blocked(blocked, int(shard)) for shard, blocked in shard_sets
     )
+    for fields in chain(*within, _iter_cross(cross_sets)):
+        a, b = fields[0].offer_id, fields[1].offer_id
+        key = (a, b) if a <= b else (b, a)
+        if key not in seen:
+            seen.add(key)
+            pairs.append(MergedCandidate(*fields))
+    return MergedCandidates(
+        pairs, k=k, metrics=tuple(metrics), n_shards=n_shards
+    )
+
+
+@dataclass(frozen=True)
+class StoredShardJoin:
+    """One shard's within-shard join, left where it sits: in its store.
+
+    ``database`` is the shard's ``shard.db``, whose ``blocked_pairs``
+    :class:`MergedCandidateStore` selects in place.  ``group`` holds the
+    group positives that join misses, bound to the shard's namespaced
+    blocker (built by
+    :meth:`~repro.shard.sweep.ShardUniverse.adopt_stored`).
+    """
+
+    shard: int
+    database: Path
+    metrics: tuple[str, ...]
+    group: BlockedPairSet
 
 
 # --------------------------------------------------------------------- #
@@ -298,35 +310,89 @@ _MERGED_DDL = [
 
 _OFFER_PLACEHOLDERS = ", ".join("?" for _ in OFFER_COLUMNS)
 
+# The offer columns that carry shard-local ids, namespaced on the way in.
+_NAMESPACED_OFFER_COLUMNS = ("offer_id", "cluster_id", "true_cluster_id")
+
+# One attached shard's join rows as merged candidates, in join order.
+# ``:tag`` is the shard's ``s<i>:`` prefix and ``:provenance`` its
+# ``shard:<i>→<i>:`` tag.  Inside one shard the prefix is shared, so the
+# raw ids order the canonical key exactly like the namespaced ones.
+_JOIN_INSERT = """
+INSERT OR IGNORE INTO candidates_completed
+SELECT
+    :tag || CASE WHEN a.offer_id <= b.offer_id
+        THEN a.offer_id ELSE b.offer_id END,
+    :tag || CASE WHEN a.offer_id <= b.offer_id
+        THEN b.offer_id ELSE a.offer_id END,
+    :tag || a.offer_id,
+    :tag || b.offer_id,
+    a.cluster_id = b.cluster_id,
+    p.score,
+    p.metric,
+    :provenance || p.metric
+FROM shard.blocked_pairs AS p
+JOIN shard.corpus_rows AS row_a ON row_a.row = p.row_a
+JOIN shard.offers AS a ON a.oid = row_a.oid
+JOIN shard.corpus_rows AS row_b ON row_b.row = p.row_b
+JOIN shard.offers AS b ON b.oid = row_b.oid
+ORDER BY p.position
+"""
+
+# The namespaced offers of one attached shard's join, in first-appearance
+# order (``offer_a`` before ``offer_b`` within a row).
+_JOIN_OFFERS_INSERT = f"""
+INSERT OR IGNORE INTO offers
+SELECT {", ".join(
+    f":tag || o.{name}" if name in _NAMESPACED_OFFER_COLUMNS else f"o.{name}"
+    for name in OFFER_COLUMNS
+)}
+FROM (
+    SELECT row, MIN(appearance) AS first FROM (
+        SELECT row_a AS row, 2 * position AS appearance
+        FROM shard.blocked_pairs
+        UNION ALL
+        SELECT row_b, 2 * position + 1 FROM shard.blocked_pairs
+    )
+    GROUP BY row
+) AS ref
+JOIN shard.corpus_rows AS r ON r.row = ref.row
+JOIN shard.offers AS o ON o.oid = r.oid
+ORDER BY ref.first
+"""
+
 
 class MergedCandidateStore:
     """Write side of ``merged.db`` — the session-level candidate sink.
 
     Self-contained by design: the merged file carries its own
     (namespaced) offers table, so reading merged candidates back never
-    touches a per-shard store.  Dedup happens *in* the database — the
-    candidate tables are unique over canonical unordered pair keys and
-    rows arrive via ``INSERT OR IGNORE`` in canonical merge order, so
-    the surviving rows equal the in-memory python-set dedup exactly.
+    touches a per-shard store.  The merge runs in the database: one
+    :meth:`write` fills both candidate tables, unique over canonical
+    unordered pair keys, with ``INSERT OR IGNORE`` in the in-memory
+    merge's order, so the surviving rows and their rowids equal
+    :func:`merge_candidate_sets`' first-win dedup exactly.
 
-    Each :meth:`write` streams its table's rows through one
-    ``executemany`` in one transaction.  Offers are written once per
-    distinct id, in first-appearance order; the id set spans both tables,
-    which share the one ``offers`` table.  Writing the offers of every
-    streamed candidate, not just the surviving ones, changes nothing: a
-    duplicate that ``INSERT OR IGNORE`` drops has the same two offer ids
-    as the earlier row that won.
+    Each shard's join is selected from its ``shard.db``, attached
+    read-only one shard at a time (so any number of shards stays within
+    SQLite's attach limit).  The ``offers`` table holds each referenced
+    offer once, in first-appearance order over ``candidates_completed``.
+
+    The file is built at ``merged.db.tmp`` beside ``merged.db`` and
+    moved over it only after the last table commits, so a crash leaves
+    either the previous complete file or none; :meth:`close` removes
+    the temporary file of a write that did not finish.
     """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Recreate from scratch: the sink is derived data, rebuilt by
-        # every sweep, so a stale file must never contribute rows.
-        if self.path.exists():
-            self.path.unlink()
-        self._connection = sqlite3.connect(self.path)
-        self._written_offers: set[str] = set()
+        self._temp = self.path.with_name(self.path.name + ".tmp")
+        # Left behind by a writer that died: derived data, never resumed.
+        self._temp.unlink(missing_ok=True)
+        # A URI connection, so ATTACH accepts the shards' read-only URIs.
+        self._connection = sqlite3.connect(
+            self._temp.resolve().as_uri(), uri=True
+        )
         self._connection.execute("PRAGMA journal_mode=MEMORY")
         self._connection.execute("PRAGMA synchronous=OFF")
         with self._connection:
@@ -338,73 +404,115 @@ class MergedCandidateStore:
 
     def write(
         self,
-        table_key: str,
-        candidates: Iterable[MergedCandidate],
+        joins: Sequence[StoredShardJoin],
+        cross_sets: Sequence[
+            tuple[tuple[int, int], BlockedPairSet, np.ndarray]
+        ],
         *,
         k: int,
         metrics: Sequence[str],
         n_shards: int,
-    ) -> "StoredMergedCandidates":
-        """Stream one candidate table and return its lazy query view."""
-        table = _MERGED_TABLES[table_key]
-        written = self._written_offers
-        # Every offer this table references, in first-appearance order.
-        # Ids join ``written`` only once the transaction commits, so a
-        # failed write leaves no offer behind as already written.
+    ) -> tuple["StoredMergedCandidates", "StoredMergedCandidates"]:
+        """Merge into both tables, commit the file, return both views.
+
+        ``candidates_completed`` takes every shard's join rows followed
+        by its group positives, shard by shard in the given order, then
+        every cross-shard set in the given order.
+        ``candidates_join_only`` copies that table in rowid order without
+        its group rows.  A group positive is a within-group pair its own
+        shard's join missed, so it never shares a key with a join or
+        cross-shard row: the copy keeps exactly the rows a first-win
+        merge of the joins and cross sets keeps.  Returns the
+        ``(completed, join_only)`` views; a store writes once.
+        """
+        meta = dict(k=int(k), metrics=tuple(metrics), n_shards=int(n_shards))
+        connection = self._connection
+        completed = _MERGED_TABLES["completed"]
+        for join in joins:
+            connection.execute(
+                "ATTACH DATABASE ? AS shard",
+                (f"{join.database.resolve().as_uri()}?mode=ro",),
+            )
+            shard = int(join.shard)
+            names = {
+                "tag": namespace_id(shard, ""),
+                "provenance": provenance_tag(shard, shard, ""),
+            }
+            try:
+                with connection:
+                    connection.execute(_JOIN_INSERT, names)
+                    connection.execute(_JOIN_OFFERS_INSERT, names)
+                    self._insert(completed, _iter_blocked(join.group, shard))
+            finally:
+                connection.execute("DETACH DATABASE shard")
+        with connection:
+            self._insert(completed, _iter_cross(cross_sets))
+            self._write_meta("completed", **meta)
+        self._write_join_only(**meta)
+        connection.close()
+        os.replace(self._temp, self.path)
+        return tuple(
+            StoredMergedCandidates(self.path, table_key, **meta)
+            for table_key in _MERGED_TABLES
+        )
+
+    def _insert(
+        self, table: str, candidates: Iterable[_CandidateFields]
+    ) -> None:
+        """Append ``candidates`` and the offers they reference."""
         referenced: dict[str, ProductOffer] = {}
 
         def rows() -> Iterator[tuple]:
-            for candidate in candidates:
-                a = candidate.offer_a.offer_id
-                b = candidate.offer_b.offer_id
-                referenced.setdefault(a, candidate.offer_a)
-                referenced.setdefault(b, candidate.offer_b)
+            for offer_a, offer_b, label, score, metric, provenance in candidates:
+                a, b = offer_a.offer_id, offer_b.offer_id
+                referenced.setdefault(a, offer_a)
+                referenced.setdefault(b, offer_b)
                 key_a, key_b = (a, b) if a <= b else (b, a)
-                yield (
-                    key_a,
-                    key_b,
-                    a,
-                    b,
-                    candidate.label,
-                    candidate.score,
-                    candidate.metric,
-                    candidate.provenance,
-                )
+                yield key_a, key_b, a, b, label, score, metric, provenance
 
-        connection = self._connection
-        with connection:
-            connection.executemany(
-                f"INSERT OR IGNORE INTO {table} "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows(),
-            )
-            connection.executemany(
-                f"INSERT INTO offers VALUES ({_OFFER_PLACEHOLDERS})",
-                (
-                    offer_to_row(offer)
-                    for offer_id, offer in referenced.items()
-                    if offer_id not in written
-                ),
-            )
-            for key, value in (
-                (f"{table_key}:k", str(int(k))),
-                (f"{table_key}:metrics", json.dumps(list(metrics))),
-                (f"{table_key}:n_shards", str(int(n_shards))),
-            ):
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value)
-                )
-        written.update(referenced)
-        return StoredMergedCandidates(
-            self.path,
-            table_key,
-            k=int(k),
-            metrics=tuple(metrics),
-            n_shards=int(n_shards),
+        self._connection.executemany(
+            f"INSERT OR IGNORE INTO {table} VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            rows(),
+        )
+        self._connection.executemany(
+            f"INSERT OR IGNORE INTO offers VALUES ({_OFFER_PLACEHOLDERS})",
+            (offer_to_row(offer) for offer in referenced.values()),
         )
 
+    def _write_meta(
+        self, table_key: str, *, k: int, metrics: tuple[str, ...], n_shards: int
+    ) -> None:
+        self._connection.executemany(
+            "INSERT OR REPLACE INTO meta VALUES (?, ?)",
+            (
+                (f"{table_key}:k", str(k)),
+                (f"{table_key}:metrics", json.dumps(list(metrics))),
+                (f"{table_key}:n_shards", str(n_shards)),
+            ),
+        )
+
+    def _write_join_only(self, **meta) -> None:
+        with self._connection:
+            self._connection.execute(
+                f"INSERT OR IGNORE INTO {_MERGED_TABLES['join_only']} "
+                f"SELECT * FROM {_MERGED_TABLES['completed']} "
+                "WHERE metric != 'group' ORDER BY rowid"
+            )
+            self._write_meta("join_only", **meta)
+
     def close(self) -> None:
+        """Close the connection; drop the file of an unfinished write."""
         self._connection.close()
+        self._temp.unlink(missing_ok=True)
+
+
+def _table_name(table_key: str) -> str:
+    if table_key not in _MERGED_TABLES:
+        raise ValueError(
+            f"table_key must be one of {sorted(_MERGED_TABLES)}, got "
+            f"{table_key!r}"
+        )
+    return _MERGED_TABLES[table_key]
 
 
 def _reopen_stored_merged(path: str, table_key: str) -> "StoredMergedCandidates":
@@ -433,41 +541,52 @@ class StoredMergedCandidates:
         n_shards: int,
         window: int = 2048,
     ) -> None:
-        if table_key not in _MERGED_TABLES:
-            raise ValueError(
-                f"table_key must be one of {sorted(_MERGED_TABLES)}, got "
-                f"{table_key!r}"
-            )
+        self._table = _table_name(table_key)
         self.path = Path(path)
         self.table_key = table_key
         self.k = k
         self.metrics = metrics
         self.n_shards = n_shards
         self.window = window
-        self._table = _MERGED_TABLES[table_key]
         self._connection_cache: sqlite3.Connection | None = None
         self._length: int | None = None
 
     @classmethod
     def open(cls, path: Path | str, table_key: str) -> "StoredMergedCandidates":
-        """Reopen a view from the metadata persisted beside the table."""
-        connection = sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True)
+        """Reopen a view from the metadata persisted beside the table.
+
+        A file that is no merged store, carries another schema or never
+        committed ``table_key``'s table raises
+        :class:`~repro.errors.StoreError` naming the path.
+        """
+        table = _table_name(table_key)
         try:
-            meta = dict(connection.execute("SELECT key, value FROM meta"))
-        finally:
-            connection.close()
+            connection = sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True)
+            try:
+                meta = dict(connection.execute("SELECT key, value FROM meta"))
+            finally:
+                connection.close()
+        except sqlite3.Error as error:
+            raise StoreError(
+                f"{path} is not a merged candidate store: {error}"
+            ) from None
         if meta.get("schema") != str(MERGED_SCHEMA):
-            raise ValueError(
+            raise StoreError(
                 f"merged store {path} has schema {meta.get('schema')!r}, "
                 f"expected {MERGED_SCHEMA}"
             )
-        return cls(
-            path,
-            table_key,
-            k=int(meta[f"{table_key}:k"]),
-            metrics=tuple(json.loads(meta[f"{table_key}:metrics"])),
-            n_shards=int(meta[f"{table_key}:n_shards"]),
-        )
+        try:
+            return cls(
+                path,
+                table_key,
+                k=int(meta[f"{table_key}:k"]),
+                metrics=tuple(json.loads(meta[f"{table_key}:metrics"])),
+                n_shards=int(meta[f"{table_key}:n_shards"]),
+            )
+        except KeyError:
+            raise StoreError(
+                f"merged store {path} has no committed {table} table"
+            ) from None
 
     def __reduce__(self):
         return (_reopen_stored_merged, (str(self.path), self.table_key))

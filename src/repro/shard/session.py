@@ -53,7 +53,7 @@ from repro.shard.faults import FaultPlan
 from repro.shard.merge import (
     MergedCandidates,
     MergedCandidateStore,
-    iter_merged_candidates,
+    StoredShardJoin,
     merge_benchmarks,
     merge_candidate_sets,
     merge_corpora,
@@ -120,9 +120,9 @@ def _sweep_universes(
 
     The one sweep implementation behind the session's corpus-level sweep
     and the split-scoped recall recipe.  ``joins`` yields universe
-    ``i``'s own top-``k`` join, bound to its namespaced blocker, in
-    universe order; the caller computes it (the split recipe's blocker)
-    or adopts it from a session shard's build
+    ``i``'s own top-``k`` join, in universe order: a ``BlockedPairSet``
+    bound to its namespaced blocker, which the caller computes (the split
+    recipe's blocker) or adopts from an in-memory session shard's build
     (:meth:`ShardUniverse.adopt`).  Universe pairs are joined here under
     the token-only ``cross_metrics``, and the merged sets record the
     union of every metric joined.
@@ -136,19 +136,20 @@ def _sweep_universes(
     here); ``"exhaustive"`` mode is the historical full bipartite sweep.
 
     Returns ``(completed, join_only, prune_stats)``; ``timings`` (when
-    given) receives one ``sweep:<i>→<i>`` row per universe join, one
+    given) receives one ``sweep:<i>→<i>`` row per universe join (its
+    read or computation plus the group-positive completion), one
     ``sweep:<i>→<j>`` row per executed pair join, plus the aggregate
     ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore`` rows.
 
     With a ``sink`` (a :class:`~repro.shard.merge.MergedCandidateStore`)
-    the merged sets are streamed into its SQLite tables instead of being
-    materialized as Python lists — dedup happens in SQL over canonical
-    pair keys, and the returned pair of
-    :class:`~repro.shard.merge.StoredMergedCandidates` iterates windowed
-    query results lazily.
+    ``joins`` yields :class:`~repro.shard.merge.StoredShardJoin` values
+    instead (:meth:`ShardUniverse.adopt_stored`): each join stays in its
+    shard store, the sink merges it there in SQL, and the returned pair
+    of :class:`~repro.shard.merge.StoredMergedCandidates` iterates
+    windowed query results lazily.
     """
     completed_sets: list[tuple[int, BlockedPairSet]] = []
-    join_sets: list[tuple[int, BlockedPairSet]] = []
+    join_sets: list[tuple[int, BlockedPairSet | StoredShardJoin]] = []
     used_metrics: dict[str, None] = {}
     # ``joins`` may be lazy (computing or reading each join on demand),
     # so each ``sweep:<i>→<i>`` row times that work as well.
@@ -158,9 +159,10 @@ def _sweep_universes(
             join = next(joins)
             used_metrics.update(dict.fromkeys(join.metrics))
             join_sets.append((universe.shard, join))
-            completed_sets.append(
-                (universe.shard, join.with_group_positives())
-            )
+            if sink is None:
+                completed_sets.append(
+                    (universe.shard, join.with_group_positives())
+                )
         if timings is not None:
             timings[f"sweep:{universe.shard}→{universe.shard}"] = (
                 timer.elapsed
@@ -240,15 +242,8 @@ def _sweep_universes(
         timings["sweep:rescore"] = rescore_seconds
     kwargs = dict(k=k, metrics=tuple(used_metrics), n_shards=n_shards)
     if sink is not None:
-        completed = sink.write(
-            "completed",
-            iter_merged_candidates(completed_sets, cross_sets, dedup=False),
-            **kwargs,
-        )
-        join_only = sink.write(
-            "join_only",
-            iter_merged_candidates(join_sets, cross_sets, dedup=False),
-            **kwargs,
+        completed, join_only = sink.write(
+            [join for _, join in join_sets], cross_sets, **kwargs
         )
         return completed, join_only, stats
     return (
@@ -494,13 +489,14 @@ class ShardedBenchmarkSession:
     (:mod:`repro.io.store`) into ``<store_dir>/shard-NNNN`` itself and
     returns only a path handle + signature summary across the pool
     boundary — the parent adopts the store, opens shards lazily (mmap
-    engine, SQL-backed benchmark/splits) and the sweep streams merged
-    candidates into ``<store_dir>/merged.db`` instead of materializing
-    them.  The shard stores are the crash-resume checkpoint: a rerun
-    over the same directory loads every verified shard instead of
-    rebuilding it, its within-shard join included.  Without
-    ``store_dir`` workers return in-memory artifacts and nothing is
-    persisted.  ``store_backend`` accepts only ``"sqlite"``, the one
+    engine, SQL-backed benchmark/splits) and the sweep merges the
+    candidates in SQL into ``<store_dir>/merged.db``, selecting every
+    within-shard join straight out of its shard store, instead of
+    materializing them.  The shard stores are the crash-resume
+    checkpoint: a rerun over the same directory loads every verified
+    shard instead of rebuilding it, its within-shard join included.
+    Without ``store_dir`` workers return in-memory artifacts and nothing
+    is persisted.  ``store_backend`` accepts only ``"sqlite"``, the one
     format left.
     """
 
@@ -686,28 +682,35 @@ class ShardedBenchmarkSession:
 
         Every shard's within-shard join comes from its build (its
         ``blocked_candidates``); only the cross-shard pairs are joined
-        here.  In store-backed mode the merged sets are streamed into
-        ``<store_dir>/merged.db`` and come back as lazy
+        here.  In store-backed mode each join is checked against its
+        store's manifest, only its ``(row_a, row_b)`` columns are read
+        (for the group completion), and it is merged in SQL into
+        ``<store_dir>/merged.db`` (see
+        :class:`~repro.shard.merge.MergedCandidateStore`), and the merged
+        sets come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
         """
         universes = [
             shard_universe(artifacts, shard)
             for shard, artifacts in zip(shard_ids, shards)
         ]
-        sink = None
-        if self.store_dir is not None:
+        adopt = dict(k=self.sweep_k, metrics=self._shard_join_metrics)
+        if self.store_dir is None:
+            sink = None
+            joins = (
+                universe.adopt(artifacts.blocked_candidates, **adopt)
+                for universe, artifacts in zip(universes, shards)
+            )
+        else:
             sink = MergedCandidateStore(self.store_dir / "merged.db")
+            joins = (
+                universe.adopt_stored(artifacts, **adopt)
+                for universe, artifacts in zip(universes, shards)
+            )
         try:
             return _sweep_universes(
                 universes,
-                (
-                    universe.adopt(
-                        artifacts.blocked_candidates,
-                        k=self.sweep_k,
-                        metrics=self._shard_join_metrics,
-                    )
-                    for universe, artifacts in zip(universes, shards)
-                ),
+                joins,
                 k=self.sweep_k,
                 cross_metrics=self.sweep_metrics,
                 n_shards=len(shards),

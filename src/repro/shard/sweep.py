@@ -22,10 +22,11 @@ comparable across shards (``CROSS_SHARD_METRICS``).
 The *within*-shard join needs no shared universe, so it runs where the
 data lives: a session shard's build computes it as its ``blocking``
 stage over raw ids (see :mod:`repro.core.builder`), and the sweep only
-rebinds it to the namespaced universe with :meth:`ShardUniverse.adopt`.
-Join rows are row-indexed, and namespacing is a bijection inside one
-shard, so the rebound rows are exactly the join the namespaced universe
-would compute itself.
+rebinds it to the namespaced universe with :meth:`ShardUniverse.adopt`,
+or, for a shard store, leaves it on disk for the SQL merge
+(:meth:`ShardUniverse.adopt_stored`).  Join rows are row-indexed, and
+namespacing is a bijection inside one shard, so the rebound rows are
+exactly the join the namespaced universe would compute itself.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from repro.blocking.candidates import BlockedPairSet, CandidateBlocker
 from repro.core.builder import BuildArtifacts
 from repro.corpus.schema import ProductOffer
 from repro.errors import SweepJoinError
+from repro.io.store import StoredShard
+from repro.shard.merge import StoredShardJoin
 from repro.shard.namespace import namespace_id, namespace_offer, namespace_offers
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.registry import validate_metric_names
@@ -89,6 +92,33 @@ class ShardUniverse:
             self.engine, offers=self.offers, group_labels=self.labels
         )
 
+    def _check_join(
+        self,
+        *,
+        rows: int,
+        n_queries: int,
+        join_k: int,
+        join_metrics: tuple[str, ...],
+        k: int,
+        metrics: tuple[str, ...],
+    ) -> None:
+        """Raise :class:`~repro.errors.SweepJoinError` unless a join over
+        ``rows`` rows with ``n_queries`` queries at ``join_k`` under
+        ``join_metrics`` is this universe's top-``k`` join under
+        ``metrics``."""
+        if (
+            rows != len(self)
+            or n_queries != len(self)
+            or join_k != k
+            or tuple(join_metrics) != tuple(metrics)
+        ):
+            raise SweepJoinError(
+                f"shard {self.shard}: the within-shard join covers "
+                f"{n_queries} of {rows} rows at k={join_k} under "
+                f"{tuple(join_metrics)}, but the sweep needs all "
+                f"{len(self)} rows at k={k} under {tuple(metrics)}"
+            )
+
     def adopt(
         self,
         join: BlockedPairSet | None,
@@ -109,25 +139,65 @@ class ShardUniverse:
             raise SweepJoinError(
                 f"shard {self.shard} carries no within-shard join"
             )
-        rows = len(self)
-        if (
-            len(join.blocker) != rows
-            or join.n_queries != rows
-            or join.k != k
-            or tuple(join.metrics) != tuple(metrics)
-        ):
-            raise SweepJoinError(
-                f"shard {self.shard}: the within-shard join covers "
-                f"{join.n_queries} of {len(join.blocker)} rows at k="
-                f"{join.k} under {tuple(join.metrics)}, but the sweep "
-                f"needs all {rows} rows at k={k} under {tuple(metrics)}"
-            )
+        self._check_join(
+            rows=len(join.blocker),
+            n_queries=join.n_queries,
+            join_k=join.k,
+            join_metrics=join.metrics,
+            k=k,
+            metrics=metrics,
+        )
         return BlockedPairSet(
             self.blocker(),
             join.pairs,
             k=join.k,
             metrics=join.metrics,
             n_queries=join.n_queries,
+        )
+
+    def adopt_stored(
+        self,
+        stored: StoredShard,
+        *,
+        k: int,
+        metrics: tuple[str, ...],
+    ) -> StoredShardJoin:
+        """This universe's own top-``k`` join, left in ``stored``'s store.
+
+        The store-backed counterpart of :meth:`adopt`.  The join is
+        checked against its manifest record (row count, ``n_queries``,
+        ``k``, metrics) and raises
+        :class:`~repro.errors.SweepJoinError` like :meth:`adopt`.  Only
+        its ``(row_a, row_b)`` columns are read, to complete the group
+        positives; :class:`~repro.shard.merge.MergedCandidateStore`
+        selects the join rows from ``shard.db`` itself.
+        """
+        info = stored.manifest.get("blocked")
+        if info is None:
+            raise SweepJoinError(
+                f"shard {self.shard} carries no within-shard join"
+            )
+        join_metrics = tuple(info["metrics"])
+        self._check_join(
+            rows=stored.manifest["engine"]["rows"],
+            n_queries=info["n_queries"],
+            join_k=info["k"],
+            join_metrics=join_metrics,
+            k=k,
+            metrics=metrics,
+        )
+        blocker = self.blocker()
+        return StoredShardJoin(
+            shard=self.shard,
+            database=stored.database,
+            metrics=join_metrics,
+            group=BlockedPairSet(
+                blocker,
+                blocker.group_positives(stored.blocked_row_pairs()),
+                k=info["k"],
+                metrics=join_metrics,
+                n_queries=info["n_queries"],
+            ),
         )
 
     def restrict(self, rows: Sequence[int] | np.ndarray) -> "ShardUniverse":

@@ -134,6 +134,84 @@ class TestCandidateBlocker:
                 CandidateBlocker(engine).candidates(k=k)
 
 
+def _missing_group_pairs(blocker, pairs):
+    """The group completion's pair enumeration as a per-pair loop over
+    ``_pair_key`` — the reference the vectorized helper must match."""
+    seen = {
+        key
+        for a, b in pairs
+        if (key := blocker._pair_key(a, b)) is not None
+    }
+    members_by_group = {}
+    for row, group in enumerate(blocker._group_ids):
+        members_by_group.setdefault(int(group), []).append(row)
+    missing = []
+    for group in sorted(members_by_group):
+        members = members_by_group[group]
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                key = blocker._pair_key(a, b)
+                if key is not None and key not in seen:
+                    seen.add(key)
+                    missing.append((a, b))
+    return missing
+
+
+class TestGroupPositives:
+    @pytest.fixture()
+    def shared_id_blocker(self):
+        """Groups whose offers repeat ids across rows (a split may list
+        one offer twice), with labels out of lexical row order."""
+        rows = [
+            ("x", "m", "orbit gan charger 65w"),
+            ("y", "m", "orbit 65 w usb c charger"),
+            ("x", "m", "orbit gan charger 65w"),
+            ("p", "a", "acme cable usb c 2m"),
+            ("z", "m", "charger by orbit"),
+            ("q", "a", "acme braided cable"),
+            ("p", "a", "acme cable usb c 2m"),
+            ("r", "k", "kettle steel 1.7l"),
+        ]
+        offers = [_offer(offer_id, cluster, title) for offer_id, cluster, title in rows]
+        engine = SimilarityEngine([offer.title for offer in offers])
+        return CandidateBlocker(
+            engine, offers=offers, group_labels=[o.cluster_id for o in offers]
+        )
+
+    def test_helper_gives_the_with_group_positives_tail(self, shared_id_blocker):
+        blocker = shared_id_blocker
+        join = blocker.candidates(k=1)
+        row_pairs = [(pair.row_a, pair.row_b) for pair in join.pairs]
+        tail = join.with_group_positives().pairs[len(join) :]
+        expected = _missing_group_pairs(blocker, row_pairs)
+        assert expected, "the fixture must leave group pairs to complete"
+        assert [(pair.row_a, pair.row_b) for pair in tail] == expected
+        assert blocker.group_positives(row_pairs) == tail
+        assert blocker.group_positives(np.array(row_pairs)) == tail
+        scores = blocker.engine.pair_features_batch(
+            expected, metrics=("cosine",)
+        )[:, 0]
+        assert [pair.score for pair in tail] == [float(s) for s in scores]
+        assert {(p.metric, p.rank) for p in tail} == {("group", -1)}
+        assert all(pair.query_row == pair.row_a for pair in tail)
+
+    def test_no_join_rows_completes_every_group(self, shared_id_blocker):
+        blocker = shared_id_blocker
+        completed = blocker.group_positives(np.empty((0, 2), dtype=np.intp))
+        assert [(p.row_a, p.row_b) for p in completed] == (
+            _missing_group_pairs(blocker, [])
+        )
+        ids = blocker.offer_ids
+        keys = [tuple(sorted((ids[p.row_a], ids[p.row_b]))) for p in completed]
+        assert len(keys) == len(set(keys))
+        assert all(a != b for a, b in keys)
+
+    def test_needs_group_labels(self):
+        blocker = CandidateBlocker(SimilarityEngine(["alpha", "beta"]))
+        with pytest.raises(ValueError, match="group labels"):
+            blocker.group_positives([(0, 1)])
+
+
 class TestEngineGroupExclusion:
     def test_exclude_groups_matches_dense_mask(self):
         titles = [f"alpha beta {token}" for token in "abcdefgh"]

@@ -1,24 +1,108 @@
-"""The ``merged.db`` sink's contract on a hand-built candidate stream.
+"""``merged.db``: the SQL merge against the python-stream oracle.
 
-:class:`~repro.shard.merge.MergedCandidateStore` must keep, per table,
-exactly the rows a python first-win dedup over canonical unordered pair
-keys keeps, in stream order; hold one ``offers`` row per referenced
-offer id, shared by both tables, in first-appearance order; and serve
-the survivors back unchanged through
-:class:`~repro.shard.merge.StoredMergedCandidates`.
+:class:`~repro.shard.merge.MergedCandidateStore` merges a store-backed
+session in SQL: each shard's join is selected out of its ``shard.db``,
+only group positives and cross-shard rows come from python.  The
+reference it must equal, table for table and rowid for rowid, is the
+python stream it replaced, kept here as :class:`PythonStreamStore`: it
+streams :class:`~repro.shard.merge.MergedCandidate` rows into the same
+schema with ``INSERT OR IGNORE``.  The oracle's own contract is pinned
+on a hand-built stream first: per table, exactly the rows a python
+first-win dedup over canonical unordered pair keys keeps, in stream
+order; one ``offers`` row per referenced offer id, shared by both
+tables, in first-appearance order; and the survivors served back
+unchanged through :class:`~repro.shard.merge.StoredMergedCandidates`.
 """
 
+import json
+import re
+import shutil
 import sqlite3
 
 import pytest
 
+from repro.core import BuildConfig
 from repro.corpus.schema import ProductOffer
-from repro.io.store import OFFER_COLUMNS, row_to_offer
+from repro.errors import StoreError
+from repro.io.store import OFFER_COLUMNS, StoredShard, offer_to_row, row_to_offer
+from repro.shard import FaultPlan, FaultSpec, ShardPlan, ShardedBenchmarkSession
 from repro.shard.merge import (
+    _MERGED_DDL,
+    _MERGED_TABLES,
+    MERGED_SCHEMA,
     MergedCandidate,
     MergedCandidateStore,
     StoredMergedCandidates,
 )
+from repro.shard.session import _sweep_universes
+from repro.shard.sweep import shard_universe
+from repro.similarity.engine import SimilarityEngine
+
+
+class PythonStreamStore:
+    """The python stream into ``merged.db`` that the SQL merge replaced.
+
+    Each :meth:`write` streams one table's candidates through one
+    ``executemany`` of ``INSERT OR IGNORE`` over canonical pair keys in
+    one transaction, then writes every offer not yet written, in
+    first-appearance order.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._connection = sqlite3.connect(path)
+        self._written_offers = set()
+        with self._connection:
+            for statement in _MERGED_DDL:
+                self._connection.execute(statement)
+            self._connection.execute(
+                "INSERT INTO meta VALUES ('schema', ?)", (str(MERGED_SCHEMA),)
+            )
+
+    def write(self, table_key, candidates, *, k, metrics, n_shards):
+        table = _MERGED_TABLES[table_key]
+        referenced = {}
+
+        def rows():
+            for candidate in candidates:
+                a = candidate.offer_a.offer_id
+                b = candidate.offer_b.offer_id
+                referenced.setdefault(a, candidate.offer_a)
+                referenced.setdefault(b, candidate.offer_b)
+                key_a, key_b = (a, b) if a <= b else (b, a)
+                yield (
+                    key_a, key_b, a, b, candidate.label, candidate.score,
+                    candidate.metric, candidate.provenance,
+                )
+
+        marks = ", ".join("?" for _ in OFFER_COLUMNS)
+        with self._connection:
+            self._connection.executemany(
+                f"INSERT OR IGNORE INTO {table} "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows(),
+            )
+            self._connection.executemany(
+                f"INSERT INTO offers VALUES ({marks})",
+                (
+                    offer_to_row(offer)
+                    for offer_id, offer in referenced.items()
+                    if offer_id not in self._written_offers
+                ),
+            )
+            for key, value in (
+                (f"{table_key}:k", str(int(k))),
+                (f"{table_key}:metrics", json.dumps(list(metrics))),
+                (f"{table_key}:n_shards", str(int(n_shards))),
+            ):
+                self._connection.execute(
+                    "INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value)
+                )
+        self._written_offers.update(referenced)
+
+    def close(self):
+        self._connection.close()
+
 
 # Ids deliberately out of lexical order, so first-appearance order and
 # sorted order disagree.
@@ -111,7 +195,7 @@ def _first_appearance_offers(*streams):
 @pytest.fixture
 def merged_db(tmp_path):
     path = tmp_path / "merged.db"
-    store = MergedCandidateStore(path)
+    store = PythonStreamStore(path)
     try:
         for key, stream in STREAMS.items():
             store.write(key, iter(stream), **META)
@@ -129,6 +213,9 @@ def _query(path, sql):
 
 
 class TestMergedCandidateStore:
+    """The ``merged.db`` contract on a hand-built stream, written by the
+    python-stream oracle the SQL merge is compared against below."""
+
     def test_tables_equal_first_win_dedup(self, merged_db):
         for key, table in TABLES.items():
             rows = _query(
@@ -169,7 +256,7 @@ class TestMergedCandidateStore:
             raise RuntimeError("stream broke")
 
         path = tmp_path / "merged.db"
-        store = MergedCandidateStore(path)
+        store = PythonStreamStore(path)
         try:
             with pytest.raises(RuntimeError, match="stream broke"):
                 store.write("completed", torn(), **META)
@@ -191,3 +278,242 @@ class TestMergedCandidateStore:
             assert list(view) == _first_win(COMPLETED)
         finally:
             view.close()
+
+
+class TestOpenErrors:
+    def test_missing_table_is_a_store_error(self, tmp_path):
+        path = tmp_path / "merged.db"
+        store = PythonStreamStore(path)
+        try:
+            store.write("completed", iter(COMPLETED), **META)
+        finally:
+            store.close()
+        StoredMergedCandidates.open(path, "completed").close()
+        with pytest.raises(StoreError) as raised:
+            StoredMergedCandidates.open(path, "join_only")
+        assert str(path) in str(raised.value)
+        assert "candidates_join_only" in str(raised.value)
+
+    def test_foreign_file_is_a_store_error(self, tmp_path):
+        text = tmp_path / "notes.txt"
+        text.write_text("not a database at all, " * 100)
+        other = tmp_path / "other.db"
+        shard_like = tmp_path / "shard.db"
+        for path, table in (
+            (other, "t (x)"),
+            (shard_like, "meta (key TEXT PRIMARY KEY, value TEXT)"),
+        ):
+            db = sqlite3.connect(path)
+            db.execute(f"CREATE TABLE {table}")
+            db.close()
+        for path in (text, other, shard_like, tmp_path / "absent.db"):
+            with pytest.raises(StoreError, match=re.escape(str(path))):
+                StoredMergedCandidates.open(path, "completed")
+
+
+# --------------------------------------------------------------------- #
+# The SQL merge of store-backed sessions against the oracle
+# --------------------------------------------------------------------- #
+SWEEP_K = 10
+MERGED_DB_TABLES = ("meta", "offers", *_MERGED_TABLES.values())
+
+
+def _plan():
+    # The plan of the shared ``store_session`` fixture.
+    return ShardPlan.create(
+        3, base_config=BuildConfig.small(n_products=30), seed=42
+    )
+
+
+def _session(store_dir, **kwargs):
+    return ShardedBenchmarkSession(
+        _plan(),
+        sweep_k=SWEEP_K,
+        executor="serial",
+        retry_backoff=0.0,
+        store_dir=store_dir,
+        **kwargs,
+    )
+
+
+def _dump(path):
+    """Every ``merged.db`` table, rowids included."""
+    db = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    try:
+        return {
+            table: db.execute(
+                f"SELECT rowid, * FROM {table} ORDER BY rowid"
+            ).fetchall()
+            for table in MERGED_DB_TABLES
+        }
+    finally:
+        db.close()
+
+
+def _oracle(artifacts, path):
+    """The session's ``merged.db`` as the python stream wrote it: the
+    in-memory merge of the same shards, streamed into the oracle."""
+    universes = [
+        shard_universe(stored, shard)
+        for shard, stored in zip(artifacts.shard_ids, artifacts.shards)
+    ]
+    joins = [
+        universe.adopt(
+            stored.blocked_candidates,
+            k=SWEEP_K,
+            metrics=SimilarityEngine.METRICS,
+        )
+        for universe, stored in zip(universes, artifacts.shards)
+    ]
+    completed, join_only, _ = _sweep_universes(
+        universes,
+        joins,
+        k=SWEEP_K,
+        cross_metrics=artifacts.sweep_metrics,
+        n_shards=artifacts.n_shards,
+        sweep_mode=artifacts.sweep_mode,
+        signature_threshold=artifacts.signature_threshold,
+    )
+    store = PythonStreamStore(path)
+    try:
+        for key, merged in (("completed", completed), ("join_only", join_only)):
+            store.write(
+                key,
+                merged,
+                k=merged.k,
+                metrics=merged.metrics,
+                n_shards=merged.n_shards,
+            )
+    finally:
+        store.close()
+    return _dump(path)
+
+
+def _close(artifacts):
+    for stored in (
+        *artifacts.shards,
+        artifacts.merged_candidates,
+        artifacts.merged_join_candidates,
+    ):
+        stored.close()
+
+
+@pytest.fixture(scope="module")
+def finished(store_root, store_session, tmp_path_factory):
+    """The shared fresh 3-shard store session's directory (see
+    ``tests/shard/conftest.py``) and its oracle tables."""
+    assert set(store_session.health.statuses.values()) == {"built"}
+    oracle = _oracle(
+        store_session, tmp_path_factory.mktemp("oracle") / "oracle.db"
+    )
+    return store_root / "serial", oracle
+
+
+@pytest.fixture
+def copied_root(finished, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(finished[0], root)
+    return root
+
+
+def _assert_tables(root, oracle):
+    merged = _dump(root / "merged.db")
+    for table in MERGED_DB_TABLES:
+        assert merged[table] == oracle[table], table
+    assert len(merged["candidates_join_only"]) < len(
+        merged["candidates_completed"]
+    )
+    assert not (root / "merged.db.tmp").exists()
+
+
+class TestSqlMergeMatchesOracle:
+    def test_fresh_session(self, finished):
+        _assert_tables(*finished)
+
+    def test_resumed_session_over_a_dead_writers_temp_file(
+        self, finished, copied_root, monkeypatch
+    ):
+        (copied_root / "merged.db.tmp").write_bytes(b"debris")
+        reads = []
+        join_rows = StoredShard.__dict__["blocked_candidates"].func
+
+        def counted(self):
+            reads.append(self.directory)
+            return join_rows(self)
+
+        # The store path never builds the joins' BlockedPair rows.
+        monkeypatch.setattr(
+            StoredShard, "blocked_candidates", property(counted)
+        )
+        artifacts = _session(copied_root).build()
+        assert set(artifacts.health.statuses.values()) == {"checkpoint"}
+        assert reads == []
+        _assert_tables(copied_root, finished[1])
+        _close(artifacts)
+
+    def test_degraded_session_namespaces_by_plan_id(self, copied_root, tmp_path):
+        # Shard 0 has no store and crashes on every attempt: the survivors
+        # are plan shards 1 and 2, merged under their own namespaces.
+        shutil.rmtree(copied_root / "shard-0000")
+        artifacts = _session(
+            copied_root,
+            failure_policy="degrade",
+            fault_plan=FaultPlan(
+                tuple(
+                    FaultSpec(shard=0, attempt=attempt, kind="crash")
+                    for attempt in (1, 2, 3)
+                )
+            ),
+        ).build()
+        assert artifacts.shard_ids == (1, 2)
+        _assert_tables(copied_root, _oracle(artifacts, tmp_path / "oracle.db"))
+        offers = _dump(copied_root / "merged.db")["offers"]
+        assert {row[1].split(":")[0] for row in offers} == {"s1", "s2"}
+        _close(artifacts)
+
+    def test_one_attached_shard_at_a_time(
+        self, finished, copied_root, monkeypatch
+    ):
+        limit = {"attached": 1}
+        original = MergedCandidateStore.__init__
+
+        def limited(self, path):
+            original(self, path)
+            self._connection.setlimit(
+                sqlite3.SQLITE_LIMIT_ATTACHED, limit["attached"]
+            )
+
+        monkeypatch.setattr(MergedCandidateStore, "__init__", limited)
+        _close(_session(copied_root).build())
+        _assert_tables(copied_root, finished[1])
+        # The limit is in force: with none allowed the merge cannot run.
+        limit["attached"] = 0
+        with pytest.raises(sqlite3.OperationalError, match="attached"):
+            _session(copied_root).build()
+
+
+class TestCrashConsistentMergedDb:
+    @pytest.fixture
+    def torn_second_table(self, monkeypatch):
+        def torn(self, **meta):
+            raise RuntimeError("injected: join_only write failed")
+
+        monkeypatch.setattr(MergedCandidateStore, "_write_join_only", torn)
+
+    def test_no_previous_file_leaves_none(self, copied_root, torn_second_table):
+        (copied_root / "merged.db").unlink()
+        with pytest.raises(RuntimeError, match="injected"):
+            _session(copied_root).build()
+        assert not (copied_root / "merged.db").exists()
+        assert not (copied_root / "merged.db.tmp").exists()
+
+    def test_previous_file_survives_unchanged(
+        self, copied_root, torn_second_table
+    ):
+        before = (copied_root / "merged.db").read_bytes()
+        with pytest.raises(RuntimeError, match="injected"):
+            _session(copied_root).build()
+        assert (copied_root / "merged.db").read_bytes() == before
+        assert not (copied_root / "merged.db.tmp").exists()
+        for key in _MERGED_TABLES:
+            StoredMergedCandidates.open(copied_root / "merged.db", key).close()

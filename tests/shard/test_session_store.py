@@ -85,14 +85,8 @@ def _store_session(store_dir, executor="serial", **kwargs):
     )
 
 
-@pytest.fixture(scope="module")
-def store_root(tmp_path_factory):
-    return tmp_path_factory.mktemp("store")
-
-
-@pytest.fixture(scope="module")
-def store_session(store_root):
-    return _store_session(store_root / "serial").build()
+# ``store_root`` and ``store_session`` (the serial session of ``_plan()``
+# in ``store_root / "serial"``) come from ``tests/shard/conftest.py``.
 
 
 class TestParity:
