@@ -27,11 +27,11 @@ through supervised retries (at least one retry per injected fault),
 undegraded, with the merged recall floors intact.
 
 Schema-7 baselines with a ``store`` section gate the out-of-core
-economics *within the current recording* (same machine, same run, so no
-tolerance): the store-backed session's peak RSS must be strictly below
-the in-memory session's at the same recorded scale, with identical
-candidate counts — lazy worker opens and SQL-windowed merges have to
-actually save memory, not just move it.
+session against the baseline's store-backed run (no tolerance): the
+session's parent peak RSS must not exceed the baseline's
+``store.sqlite.peak_rss_kb``, and its candidate counts must equal the
+baseline's — lazy worker opens and SQL-windowed merges must keep the
+parent's memory bounded without dropping candidates.
 
 Schema-8 baselines with a ``serve`` section gate the online serving
 layer: delta-determinism parity (the mutated live shards must equal a
@@ -271,47 +271,43 @@ def _chaos_failures(section: dict | None, *, recall_floors: dict) -> list[str]:
     return failures
 
 
-def _store_failures(section: dict | None) -> list[str]:
-    """The out-of-core assertions, evaluated on the current recording.
+def _store_failures(section: dict | None, baseline_section: dict) -> list[str]:
+    """The out-of-core assertions, against the baseline's store-backed run.
 
-    Intra-recording comparisons (both modes ran on this machine in this
-    run, in their own spawned subprocesses), so they are strict: the
-    store-backed session must use strictly less peak RSS than the
-    in-memory one, and must have produced the identical candidate sets
-    — a memory win bought by dropping candidates is a correctness bug,
-    not an optimization.
+    The bound is the store-backed peak recorded in the baseline (at a
+    revision that also had the in-memory session path, whose peak it
+    was gated strictly below), with no tolerance; and the candidate
+    counts must equal the baseline's exactly — a memory win bought by
+    dropping candidates is a correctness bug, not an optimization.
     """
     if section is None:
         return [
             "store: missing from the current recording "
             "(run record_timings.py --store-rss N)"
         ]
-    memory = section.get("in_memory")
     sqlite = section.get("sqlite")
-    if memory is None or sqlite is None:
-        return ["store: probe modes missing from the recording"]
+    baseline = baseline_section.get("sqlite")
+    if sqlite is None or baseline is None:
+        return ["store: the store-backed probe is missing from the recording"]
     failures: list[str] = []
-    for mode, probe in (("in_memory", memory), ("sqlite", sqlite)):
-        if probe.get("degraded"):
-            failures.append(
-                f"store: the {mode} probe session completed degraded"
-            )
-    memory_peak = memory.get("peak_rss_kb", 0)
-    sqlite_peak = sqlite.get("peak_rss_kb", 0)
-    if sqlite_peak >= memory_peak:
+    if sqlite.get("degraded"):
+        failures.append("store: the probe session completed degraded")
+    peak = sqlite.get("peak_rss_kb", 0)
+    bound = baseline.get("peak_rss_kb", 0)
+    if peak > bound:
         failures.append(
-            f"store: store-backed peak RSS {sqlite_peak} KB is not below "
-            f"the in-memory session's {memory_peak} KB at "
-            f"{section.get('n_shards')} shards ({section.get('scale')} "
-            "scale) — the out-of-core path no longer saves memory"
+            f"store: store-backed peak RSS {peak} KB is above the "
+            f"baseline's {bound} KB at {section.get('n_shards')} shards "
+            f"({section.get('scale')} scale) — the out-of-core session "
+            "no longer bounds parent memory"
         )
     for count in ("candidates", "join_candidates", "positives"):
-        if memory.get(count) != sqlite.get(count):
+        if sqlite.get(count) != baseline.get(count):
             failures.append(
-                f"store: {count} differ between modes "
-                f"(in_memory={memory.get(count)}, "
-                f"sqlite={sqlite.get(count)}) — the store-backed merge "
-                "is not byte-equivalent"
+                f"store: {count} differ from the baseline "
+                f"(baseline={baseline.get(count)}, "
+                f"current={sqlite.get(count)}) — the merged candidate set "
+                "changed"
             )
     return failures
 
@@ -462,7 +458,9 @@ def compare(
             )
         )
     if "store" in baseline:
-        failures.extend(_store_failures(current.get("store")))
+        failures.extend(
+            _store_failures(current.get("store"), baseline["store"])
+        )
     if "serve" in baseline:
         failures.extend(
             _serve_failures(
@@ -581,14 +579,11 @@ def main() -> int:
             f"undegraded, {recall_summary})"
         )
     if "store" in baseline:
-        store = current.get("store", {})
-        memory_peak = store.get("in_memory", {}).get("peak_rss_kb", 0)
-        sqlite_peak = store.get("sqlite", {}).get("peak_rss_kb", 0)
-        ratio = sqlite_peak / memory_peak if memory_peak else float("nan")
+        peak = current.get("store", {}).get("sqlite", {}).get("peak_rss_kb", 0)
+        bound = baseline["store"]["sqlite"]["peak_rss_kb"]
         print(
-            "checked out-of-core store (peak RSS "
-            f"{sqlite_peak} KB vs {memory_peak} KB in-memory, "
-            f"{ratio:.2f}x, identical candidate counts)"
+            f"checked out-of-core store (peak RSS {peak} KB, bound "
+            f"{bound} KB, baseline candidate counts)"
         )
     if "serve" in baseline:
         serve = current.get("serve", {})

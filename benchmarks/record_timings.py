@@ -45,16 +45,13 @@ asserts on every push, not only when a fault happens to occur in the
 wild.
 
 ``--store-rss N`` runs the out-of-core memory probe (the ``store``
-section, gated by ``check_regression.py``): the same N-shard
-default-scale session twice — once in-memory (workers return whole
-``BuildArtifacts``), once store-backed (``store_dir=``:
-workers persist into the artifact store and return path handles, the
-parent opens shards lazily over mmap and streams merged candidates into
-SQLite).  Each run happens in its own spawned subprocess so
-``resource.getrusage`` peak-RSS readings are clean per mode, with
-per-phase deltas around build / sweep / merged access.  The gate:
-store-backed peak RSS strictly below in-memory at the same scale, with
-identical candidate counts.
+section, gated by ``check_regression.py``): one N-shard default-scale
+session with ``store_dir=`` (workers persist into the artifact store
+and return path handles, the parent opens shards lazily over mmap and
+merges candidates in SQLite), in its own spawned subprocess so the
+peak-RSS reading is clean, with per-phase deltas around build / sweep /
+merged access.  The gate: the parent's peak RSS at most the baseline's
+store-backed peak, with the baseline's candidate counts.
 
 ``--serve N`` runs the online-serving probe (the ``serve`` section,
 schema 8, gated by ``check_regression.py``): two live shards over a
@@ -400,18 +397,14 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
     return section
 
 
-def _store_rss_probe(
-    mode: str, n_shards: int, seed: int, store_dir: str | None, queue
-) -> None:
+def _store_rss_probe(n_shards: int, seed: int, store_dir: str, queue) -> None:
     """Child-process body of the out-of-core memory probe.
 
     Runs one session end to end (build, sweep, merged access) and
     reports this process's ``ru_maxrss`` after each phase.  ``ru_maxrss``
     is a high-water mark, so the phase deltas say how much *new* peak
-    each phase added; the pool workers' RSS is theirs alone — exactly
-    the accounting the store is supposed to win: in-memory mode ships
-    every shard's artifact graph back into this process, store-backed
-    mode ships path handles and mmaps.
+    each phase added; the pool workers' RSS is theirs alone, and they
+    ship only path handles back to this process.
     """
     import resource
 
@@ -421,8 +414,7 @@ def _store_rss_probe(
         # nor clear_refs resets, so getrusage would report the *parent's*
         # watermark forever.  VmHWM honors the clear_refs reset below.
         # Fall back to ru_maxrss where /proc is absent (non-Linux; Linux
-        # reports KB, macOS bytes — both modes record on one machine, so
-        # the comparison holds either way).
+        # reports KB, macOS bytes).
         try:
             with open("/proc/self/status") as status:
                 for line in status:
@@ -446,24 +438,23 @@ def _store_rss_probe(
     plan = ShardPlan.create(
         n_shards, base_config=BuildConfig(seed=seed), seed=seed
     )
-    kwargs: dict = {}
-    if mode == "sqlite":
-        kwargs = {"store_dir": store_dir}
-    session = ShardedBenchmarkSession(plan, executor="process", **kwargs)
+    root = Path(store_dir)
+    session = ShardedBenchmarkSession(
+        plan, executor="process", store_dir=root
+    )
     phases: dict[str, int] = {}
     baseline = peak_kb()
     timings: dict[str, float] = {}
-    shard_ids, shards, summaries, health, _ = session._build_shards()
+    shard_ids, shards, summaries, health, _ = session._build_shards(root)
     after_build = peak_kb()
     phases["build"] = after_build - baseline
     merged, merged_join, _ = session._sweep(
-        shard_ids, shards, timings, summaries
+        root, shard_ids, shards, timings, summaries
     )
     after_sweep = peak_kb()
     phases["sweep"] = after_sweep - after_build
-    # Merged access: counting + summarizing walks every candidate — the
-    # in-memory path over Python lists, the store path over windowed
-    # SQL queries.
+    # Merged access: counting + summarizing walks every candidate over
+    # windowed SQL queries.
     candidates = len(merged)
     join_candidates = len(merged_join)
     summary = merged.summary()
@@ -471,7 +462,6 @@ def _store_rss_probe(
     phases["merge"] = after_merge - after_sweep
     queue.put(
         {
-            "mode": mode,
             "degraded": health.degraded,
             "peak_rss_kb": after_merge,
             "baseline_rss_kb": baseline,
@@ -484,46 +474,40 @@ def _store_rss_probe(
 
 
 def _record_store_rss(n_shards: int, seed: int) -> dict:
-    """The out-of-core probe: in-memory vs store-backed peak RSS.
+    """The out-of-core probe: the store-backed session's peak RSS.
 
-    Each mode runs in its own *spawned* subprocess: spawn (not fork)
+    The session runs in its own *spawned* subprocess: spawn (not fork)
     keeps the child's baseline RSS independent of whatever the parent
-    has already materialized, and per-process ``ru_maxrss`` high-water
-    marks never bleed between modes.  ``check_regression.py`` gates the
-    comparison: store-backed peak strictly below in-memory, identical
-    candidate counts.
+    has already materialized.  The reading goes under ``sqlite``, the
+    key the baseline's store-backed run was recorded under;
+    ``check_regression.py`` gates it against that baseline run: peak at
+    most the baseline's, identical candidate counts.
     """
     import tempfile
 
     context = multiprocessing.get_context("spawn")
-    section: dict = {
+    with tempfile.TemporaryDirectory() as scratch:
+        queue = context.SimpleQueue()
+        child = context.Process(
+            target=_store_rss_probe,
+            args=(n_shards, seed, str(Path(scratch) / "store"), queue),
+        )
+        child.start()
+        # Join before get: the payload is a tiny dict (no pipe-full
+        # deadlock), and a crashed child must raise here instead of
+        # leaving the parent blocked on an empty queue forever.
+        child.join()
+        if child.exitcode:
+            raise RuntimeError(
+                f"store-rss probe exited with {child.exitcode}"
+            )
+        payload = queue.get()
+    return {
         "n_shards": n_shards,
         "scale": "default",
         "cpu_count": os.cpu_count(),
+        "sqlite": payload,
     }
-    for mode in ("in_memory", "sqlite"):
-        with tempfile.TemporaryDirectory() as scratch:
-            store_dir = (
-                str(Path(scratch) / "store") if mode == "sqlite" else None
-            )
-            queue = context.SimpleQueue()
-            child = context.Process(
-                target=_store_rss_probe,
-                args=(mode, n_shards, seed, store_dir, queue),
-            )
-            child.start()
-            # Join before get: the payload is a tiny dict (no pipe-full
-            # deadlock), and a crashed child must raise here instead of
-            # leaving the parent blocked on an empty queue forever.
-            child.join()
-            if child.exitcode:
-                raise RuntimeError(
-                    f"store-rss probe ({mode}) exited with "
-                    f"{child.exitcode}"
-                )
-            payload = queue.get()
-        section[payload.pop("mode")] = payload
-    return section
 
 
 def _serve_cold_parity(shards) -> dict:
@@ -766,8 +750,8 @@ def record(
         # 8: online serving — the serve section (sustained mixed
         #    match/append/retire workload over live shards: QPS,
         #    p50/p99, shed rate, delta-determinism parity, gated)
-        # 7: out-of-core — the store section (in-memory vs sqlite-backed
-        #    session peak RSS with per-phase deltas, gated)
+        # 7: out-of-core — the store section (sqlite-backed session peak
+        #    RSS with per-phase deltas, gated)
         # 6: fault tolerance — the chaos smoke section (fault-injected
         #    session that must self-heal via supervised retries, gated),
         #    and sessions record shard:retries (+ checkpoint:load/save
@@ -908,10 +892,10 @@ def main() -> None:
         "--store-rss",
         type=int,
         default=0,
-        help="run the out-of-core memory probe: the same N-shard "
-        "default-scale session in-memory and store-backed, each in its "
-        "own spawned subprocess, recording peak RSS with per-phase "
-        "deltas ('store' section, gated by check_regression)",
+        help="run the out-of-core memory probe: one N-shard "
+        "default-scale store-backed session in its own spawned "
+        "subprocess, recording peak RSS with per-phase deltas ('store' "
+        "section, gated by check_regression)",
     )
     parser.add_argument(
         "--serve",
@@ -1000,23 +984,16 @@ def main() -> None:
             print(f"  chaos: session FAILED — {chaos.get('error')}")
     if "store" in result:
         store = result["store"]
-        memory, sqlite = store["in_memory"], store["sqlite"]
-        ratio = sqlite["peak_rss_kb"] / memory["peak_rss_kb"]
+        sqlite = store["sqlite"]
+        phases = sqlite["phases"]
         print(
             f"  store: {store['n_shards']} shards ({store['scale']} scale) "
-            f"peak RSS sqlite {sqlite['peak_rss_kb'] / 1024:.0f}MB vs "
-            f"in-memory {memory['peak_rss_kb'] / 1024:.0f}MB "
-            f"({ratio:.2f}x), candidates {sqlite['candidates']} vs "
-            f"{memory['candidates']}"
+            f"peak RSS {sqlite['peak_rss_kb'] / 1024:.0f}MB, candidates "
+            f"{sqlite['candidates']}; phase deltas: build "
+            f"{phases['build'] / 1024:.0f}MB sweep "
+            f"{phases['sweep'] / 1024:.0f}MB merge "
+            f"{phases['merge'] / 1024:.0f}MB"
         )
-        for mode, section in (("in_memory", memory), ("sqlite", sqlite)):
-            phases = section["phases"]
-            print(
-                f"    {mode:9s} phase deltas: build "
-                f"{phases['build'] / 1024:.0f}MB sweep "
-                f"{phases['sweep'] / 1024:.0f}MB merge "
-                f"{phases['merge'] / 1024:.0f}MB"
-            )
     if "serve" in result:
         serve = result["serve"]
         parity = serve["parity"]

@@ -10,7 +10,9 @@ shard's sub-universe through the engine-backed ``CandidateBlocker``, and
 the per-shard + cross-shard candidate sets merge into one deduplicated,
 provenance-tagged set (``shard:<i>→<j>:<metric>``).  The merged benchmark
 view trains an ``ExperimentRunner`` matcher exactly like a single-corpus
-build.
+build.  Every shard is written to an artifact store in a private
+temporary directory (pass ``store_dir=`` to keep it as a crash-resume
+checkpoint); ``close()`` releases the stores and removes that directory.
 
 Run:  python examples/sharded_session.py
 """
@@ -83,6 +85,7 @@ def main() -> None:
             f"  shard {shard}: {len(artifacts.cleansed.offers):,} offers, "
             f"{len(artifacts.benchmark.train_sets)} train sets"
         )
+    session.close()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from repro.io.store import (
     StoredShardHandle,
     StoredSplit,
     amend_manifest,
-    append_store,
     config_fingerprint,
     open_store,
     verify_store,
@@ -40,7 +39,6 @@ __all__ = [
     "StoredShardHandle",
     "StoredSplit",
     "write_store",
-    "append_store",
     "verify_store",
     "open_store",
     "amend_manifest",

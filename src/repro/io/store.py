@@ -77,7 +77,6 @@ __all__ = [
     "StoredShardHandle",
     "StoredSplit",
     "write_store",
-    "append_store",
     "verify_store",
     "open_store",
     "amend_manifest",
@@ -585,178 +584,6 @@ def amend_manifest(
         manifest["elapsed_seconds"] = elapsed
     _write_json(manifest_path, manifest)
     return manifest
-
-
-def append_store(
-    directory: Path | str,
-    offers: Iterable[ProductOffer],
-    *,
-    base_fingerprint: str | None = None,
-) -> np.ndarray:
-    """Append offers to a committed store; returns their new corpus rows.
-
-    The serving layer's persistence path: instead of rebuilding and
-    rewriting a whole shard, new offers are inserted into ``shard.db``
-    (offers + corpus rows + any new vocabulary tokens) and only the
-    engine sidecars an append actually changes — the CSR triplet,
-    ``set_sizes`` and ``token_keys`` — are rewritten.  Pair datasets,
-    splits, selections and blocked candidates are untouched bytes.
-
-    The commit discipline matches :func:`write_store`: everything lands
-    under temp names first, the batch of renames happens together, and
-    the manifest — with refreshed sha256 records and engine metadata —
-    is rewritten last.  A writer killed mid-append leaves the *old*
-    manifest beside partially-renamed payloads, so verification fails
-    closed and the store is refused/rebuilt, exactly the checkpoint
-    contract.  Appending to a store whose ``base_fingerprint`` does not
-    match is refused with :class:`~repro.errors.StoreError` — the
-    foreign-manifest rule is unchanged.
-
-    A store fitted with LSA embeddings loses them here (the appended
-    rows are outside the fitted space): ``embeddings.npy`` leaves the
-    manifest and ``has_embeddings`` flips false, mirroring the live
-    engine's staleness contract.  Row retirement is deliberately *not*
-    persisted — tombstones are serving-session state; stores always
-    hold the full corpus.
-    """
-    directory = Path(directory)
-    start = time.perf_counter()
-    verified = verify_store(directory, base_fingerprint=base_fingerprint)
-    if isinstance(verified, str):
-        raise StoreError(
-            f"cannot append to artifact store at {directory}: {verified}"
-        )
-    if verified.get("engine") is None:
-        raise StoreError(
-            f"artifact store at {directory} holds no similarity engine; "
-            "append_store has nothing to extend"
-        )
-    new_offers = list(offers)
-    if not new_offers:
-        return np.empty(0, dtype=np.intp)
-
-    with _writer_lock(directory):
-        stored = StoredShard(directory, verified)
-        try:
-            known_ids = {
-                offer_id
-                for (offer_id,) in stored._connection.execute(
-                    "SELECT o.offer_id FROM corpus_rows c "
-                    "JOIN offers o ON o.oid = c.oid"
-                )
-            }
-            batch_ids = [offer.offer_id for offer in new_offers]
-            duplicates = sorted(
-                set(batch_ids) & known_ids
-                | {oid for oid in batch_ids if batch_ids.count(oid) > 1}
-            )
-            if duplicates:
-                raise StoreError(
-                    f"cannot append to artifact store at {directory}: "
-                    f"offer ids already present (or repeated): {duplicates}"
-                )
-
-            engine = stored.engine
-            old_vocabulary = len(engine.vocabulary)
-            rows = engine.append([offer.title for offer in new_offers])
-            matrix = engine._matrix.tocsr()
-
-            files = dict(verified["files"])
-            files.pop("embeddings.npy", None)
-            sidecars: dict[str, np.ndarray] = {
-                "incidence_data": matrix.data,
-                "incidence_indices": matrix.indices,
-                "incidence_indptr": matrix.indptr,
-                "set_sizes": engine._set_sizes,
-                "token_keys": engine._token_keys,
-            }
-            renames: list[tuple[Path, Path]] = []
-            for name, array in sidecars.items():
-                path = directory / f"{name}.npy"
-                temp = path.with_suffix(".npy.tmp")
-                with open(temp, "wb") as handle:
-                    np.save(handle, np.ascontiguousarray(array))
-                files[path.name] = {
-                    "sha256": stream_sha256(temp),
-                    "bytes": temp.stat().st_size,
-                }
-                renames.append((temp, path))
-
-            db_path = directory / _DB
-            temp_db = db_path.with_suffix(".db.tmp")
-            if temp_db.exists():
-                temp_db.unlink()
-            source = sqlite3.connect(
-                f"file:{db_path}?mode=ro", uri=True
-            )
-            connection = sqlite3.connect(temp_db)
-            try:
-                source.backup(connection)
-                source.close()
-                with connection:
-                    (max_oid,) = connection.execute(
-                        "SELECT COALESCE(MAX(oid), 0) FROM offers"
-                    ).fetchone()
-                    for position, offer in enumerate(new_offers):
-                        oid = max_oid + 1 + position
-                        connection.execute(
-                            f"INSERT INTO offers VALUES "
-                            f"(?, {_OFFER_PLACEHOLDERS})",
-                            (oid, *offer_to_row(offer)),
-                        )
-                        connection.execute(
-                            "INSERT INTO corpus_rows VALUES (?, ?)",
-                            (int(rows[position]), oid),
-                        )
-                    connection.executemany(
-                        "INSERT INTO tokens VALUES (?, ?)",
-                        (
-                            (col, token)
-                            for token, col in engine.vocabulary.items()
-                            if col >= old_vocabulary
-                        ),
-                    )
-            finally:
-                connection.close()
-            files[_DB] = {
-                "sha256": stream_sha256(temp_db),
-                "bytes": temp_db.stat().st_size,
-            }
-            renames.append((temp_db, db_path))
-        finally:
-            stored.close()
-
-        # Commit: batch rename, then the manifest. A crash between the
-        # first rename and the manifest write leaves the old manifest
-        # disagreeing with the payload sha256s — verification refuses.
-        for temp, path in renames:
-            _atomic_replace(temp, path)
-        manifest = dict(verified)
-        engine_info = dict(manifest["engine"])
-        engine_info["rows"] = len(engine)
-        engine_info["matrix_shape"] = [int(side) for side in matrix.shape]
-        engine_info["has_embeddings"] = False
-        manifest["engine"] = engine_info
-        manifest["files"] = files
-        manifest["appends"] = int(manifest.get("appends", 0)) + 1
-        manifest["appended_offers"] = int(
-            manifest.get("appended_offers", 0)
-        ) + len(new_offers)
-        timings = dict(manifest.get("stage_timings", {}))
-        timings["append"] = timings.get("append", 0.0) + (
-            time.perf_counter() - start
-        )
-        manifest["stage_timings"] = timings
-        _write_json(directory / _MANIFEST, manifest)
-        # The dropped embedding sidecar is outside the manifest now; the
-        # stray file is inert, but clean it up when we can.
-        embeddings_path = directory / "embeddings.npy"
-        if embeddings_path.exists():
-            try:
-                embeddings_path.unlink()
-            except OSError:
-                pass
-    return rows
 
 
 def verify_store(

@@ -9,9 +9,10 @@ the live rows.
 
 Shards come from three places:
 
-* :meth:`LiveShard.from_artifacts` — an in-memory ``BuildArtifacts`` (or
-  any object with ``.engine`` and ``.cleansed.offers``), including the
-  per-shard artifacts of a :class:`~repro.shard.session.ShardedArtifacts`,
+* :meth:`LiveShard.from_artifacts` — a ``BuildArtifacts`` or any object
+  with ``.engine`` and ``.cleansed.offers``, such as the
+  :class:`~repro.io.store.StoredShard` shards of a
+  :class:`~repro.shard.session.ShardedArtifacts`,
 * :meth:`LiveShard.from_handle` — a picklable
   :class:`~repro.io.store.StoredShardHandle`; the store is opened
   *lazily* (first use, or :meth:`MatchService.start`'s off-loop warmup),

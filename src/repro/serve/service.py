@@ -137,9 +137,10 @@ class MatchService:
         """A service over a session's per-shard artifacts.
 
         ``artifacts`` is a :class:`~repro.shard.session.ShardedArtifacts`
-        (or anything with ``shards`` + ``shard_ids``); works for both
-        in-memory and store-backed sessions, since stored shards expose
-        the same ``.engine`` / ``.cleansed`` surface.
+        (or anything with ``shards`` + ``shard_ids``).  A session's
+        shards are :class:`~repro.io.store.StoredShard` stores, which
+        expose the ``.engine`` / ``.cleansed`` surface of a
+        ``BuildArtifacts``.
         """
         live = [
             LiveShard.from_artifacts(

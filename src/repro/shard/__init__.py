@@ -6,8 +6,8 @@ seed (``SeedSequence.spawn`` — shard identity is stable under shard count
 and ordering), a :class:`ShardedBenchmarkSession` builds them in worker
 processes and sweeps every shard pair with the engine-backed
 :class:`~repro.blocking.candidates.CandidateBlocker`, and the merged
-views (:class:`~repro.shard.merge.MergedCandidates`, merged benchmark /
-corpus / engine) plug into the existing recall and experiment runners
+views (:class:`~repro.shard.merge.StoredMergedCandidates`, merged
+benchmark / corpus / engine) plug into the existing recall and experiment runners
 unchanged.
 
 The cross-shard sweep runs in ``"signature"`` mode by default: a global

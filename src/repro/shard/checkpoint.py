@@ -1,8 +1,8 @@
 """Per-shard checkpoints: crash-resume without rebuilding finished work.
 
 A :class:`ShardCheckpointStore` verifies, adopts and loads the completed
-shards of a store-backed session (``ShardedBenchmarkSession(store_dir=)``)
-under one session directory, each shard as an artifact store (see
+shards of a session under its session directory (resumable when it is
+``ShardedBenchmarkSession(store_dir=)``), each shard as an artifact store (see
 :mod:`repro.io.store`)::
 
     <root>/

@@ -2,9 +2,9 @@
 
 Two merges happen at the end of a sharded session:
 
-* :func:`merge_candidate_sets` folds every shard's own blocking join and
-  every cross-shard sweep join into one deduplicated
-  :class:`MergedCandidates` set.  Each candidate carries directional
+* The candidate merge folds every shard's own blocking join and every
+  cross-shard sweep join into one deduplicated candidate set.  Each
+  candidate carries directional
   provenance ``shard:<i>→<j>:<metric>`` — the pair first surfaced as a
   query from shard ``i`` against shard ``j``'s sub-universe under
   ``metric`` (``i == j`` for within-shard candidates, metric ``group``
@@ -18,23 +18,23 @@ Two merges happen at the end of a sharded session:
   across shards in shard order with namespaced offers, which a plain
   :class:`~repro.eval.runner.ExperimentRunner` consumes unchanged.
 
-The candidate merge exists in two physical shapes.  The in-memory shape
-(:func:`merge_candidate_sets`) folds ``BlockedPairSet`` values into
-python lists (:class:`MergedCandidates`) with a python-set first-win
-dedup.  The out-of-core shape (:class:`MergedCandidateStore` →
-``merged.db``) runs the merge in SQLite, where a store-backed session's
-rows already are: every shard's join is selected straight out of that
-shard's ``shard.db`` with ``INSERT OR IGNORE … SELECT``, the namespaced
-ids, canonical pair keys and provenance being SQL expressions, so no
-within-shard candidate passes through python.  Only the small sets (each
-shard's completed group positives and the cross-shard sweeps) are
-inserted from python.  Dedup is ``INSERT OR IGNORE`` over canonical
-unordered pair keys in the in-memory merge's order, so both shapes keep
-the same first-win survivors.  The file is served back as
+A session's candidate merge runs in SQLite (:class:`MergedCandidateStore`
+→ ``merged.db`` in the session directory), where the rows already are:
+every shard's join is selected straight out of that shard's ``shard.db``
+with ``INSERT OR IGNORE … SELECT``, the namespaced ids, canonical pair
+keys and provenance being SQL expressions, so no within-shard candidate
+passes through python.  Only the small sets (each shard's completed
+group positives and the cross-shard sweeps) are inserted from python.
+Dedup is ``INSERT OR IGNORE`` over canonical unordered pair keys in
+first-win order.  The file is served back as
 :class:`StoredMergedCandidates` — a lazy query view with windowed
-iteration and SQL aggregates, duck-type compatible with
-:class:`MergedCandidates` so recall and dataset consumers run unchanged
-without a merged copy in RAM.
+iteration and SQL aggregates, so recall and dataset consumers run
+without a merged copy in RAM.  :func:`merge_candidate_sets` is the
+in-memory shape of the same first-win merge, python lists
+(:class:`MergedCandidates`) with a python-set dedup: it serves the
+split-scoped candidates of
+:meth:`~repro.shard.session.ShardedArtifacts.split_candidates`, whose
+universes are views the parent builds and that no store holds.
 """
 
 from __future__ import annotations

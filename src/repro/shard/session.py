@@ -12,9 +12,11 @@ its build: the session sets every shard config's ``blocking`` stage to
 the sweep's ``k`` and shard metrics (see
 :attr:`ShardedBenchmarkSession.shard_configs`), so the workers compute
 the within-shard joins in parallel and a shard store persists its join.
-The parent only adopts those joins and runs the cross-shard pairs.  The
-result is a :class:`ShardedArtifacts`: per-shard
-:class:`~repro.core.builder.BuildArtifacts` plus merged session-level
+Every shard build writes an artifact store (:mod:`repro.io.store`) into
+the session directory — ``store_dir``, or a private temporary directory
+— and the parent only checks those joins and runs the cross-shard pairs.
+The result is a :class:`ShardedArtifacts`: per-shard
+:class:`~repro.io.store.StoredShard` stores plus merged session-level
 views (candidates, benchmark, corpus, engine) that existing consumers —
 :func:`~repro.blocking.recall.blocking_recall`,
 :class:`~repro.eval.runner.ExperimentRunner` — use unchanged.
@@ -39,6 +41,7 @@ every failed shard and every shard pair the sweep consequently skipped.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -46,13 +49,15 @@ from pathlib import Path
 
 from repro.blocking.candidates import BlockedPairSet, check_top_k
 from repro.core.benchmark import WDCProductsBenchmark
-from repro.core.builder import BuildArtifacts, BuildConfig
+from repro.core.builder import BuildConfig
 from repro.corpus.schema import SyntheticCorpus
+from repro.io.store import StoredShard
 from repro.shard.checkpoint import ShardCheckpointStore, shard_store_dir
 from repro.shard.faults import FaultPlan
 from repro.shard.merge import (
     MergedCandidates,
     MergedCandidateStore,
+    StoredMergedCandidates,
     StoredShardJoin,
     merge_benchmarks,
     merge_candidate_sets,
@@ -120,12 +125,9 @@ def _sweep_universes(
 
     The one sweep implementation behind the session's corpus-level sweep
     and the split-scoped recall recipe.  ``joins`` yields universe
-    ``i``'s own top-``k`` join, in universe order: a ``BlockedPairSet``
-    bound to its namespaced blocker, which the caller computes (the split
-    recipe's blocker) or adopts from an in-memory session shard's build
-    (:meth:`ShardUniverse.adopt`).  Universe pairs are joined here under
-    the token-only ``cross_metrics``, and the merged sets record the
-    union of every metric joined.
+    ``i``'s own top-``k`` join, in universe order.  Universe pairs are
+    joined here under the token-only ``cross_metrics``, and the merged
+    sets record the union of every metric joined.
 
     In ``"signature"`` mode (the default) the universe pairs are pruned
     through a :class:`SignatureIndex` first: pairs with no possible
@@ -141,12 +143,16 @@ def _sweep_universes(
     ``sweep:<i>→<j>`` row per executed pair join, plus the aggregate
     ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore`` rows.
 
-    With a ``sink`` (a :class:`~repro.shard.merge.MergedCandidateStore`)
-    ``joins`` yields :class:`~repro.shard.merge.StoredShardJoin` values
-    instead (:meth:`ShardUniverse.adopt_stored`): each join stays in its
-    shard store, the sink merges it there in SQL, and the returned pair
-    of :class:`~repro.shard.merge.StoredMergedCandidates` iterates
-    windowed query results lazily.
+    The session's sweep passes a ``sink`` (a
+    :class:`~repro.shard.merge.MergedCandidateStore`), and ``joins``
+    yields :class:`~repro.shard.merge.StoredShardJoin` values
+    (:meth:`ShardUniverse.adopt_stored`): each join stays in its shard
+    store, the sink merges it there in SQL, and the returned pair of
+    :class:`~repro.shard.merge.StoredMergedCandidates` iterates windowed
+    query results lazily.  Without a sink (the split recipe, whose
+    universes have no store behind them) ``joins`` yields
+    ``BlockedPairSet`` values bound to their namespaced blockers, and
+    the merged sets are in-memory :class:`MergedCandidates`.
     """
     completed_sets: list[tuple[int, BlockedPairSet]] = []
     join_sets: list[tuple[int, BlockedPairSet | StoredShardJoin]] = []
@@ -294,25 +300,32 @@ class MergedArtifacts:
 class ShardedArtifacts:
     """Everything a sharded session built.
 
-    ``shards[i]`` is the complete single-corpus artifact set of shard
-    ``shard_ids[i]`` — for a healthy session the identity mapping, for a
+    ``shards[i]`` is the :class:`~repro.io.store.StoredShard` of shard
+    ``shard_ids[i]``, a complete single-corpus artifact set opened lazily
+    from its store — for a healthy session the identity mapping, for a
     degraded one the surviving subset of the plan (``health`` then
     records who failed, with the full attempt ledger, and which shard
     pairs the sweep consequently skipped).  ``merged_candidates`` is the
     deduplicated per-shard + cross-shard candidate set in its training
     shape (ground-truth group positives completed) and
     ``merged_join_candidates`` the raw top-k join (the shape
-    blocking-recall floors gate).  The merged benchmark / corpus /
+    blocking-recall floors gate), both
+    :class:`~repro.shard.merge.StoredMergedCandidates` views over the
+    session directory's ``merged.db``.  The merged benchmark / corpus /
     engine views build lazily and are cached.
+
+    :meth:`close` releases the stores; a session built without
+    ``store_dir`` also removes its private directory there (or when the
+    artifacts are garbage-collected).
     """
 
     def __init__(
         self,
         plan: ShardPlan,
-        shards: tuple[BuildArtifacts, ...],
+        shards: tuple[StoredShard, ...],
         *,
-        merged_candidates: MergedCandidates,
-        merged_join_candidates: MergedCandidates,
+        merged_candidates: StoredMergedCandidates,
+        merged_join_candidates: StoredMergedCandidates,
         sweep_k: int,
         sweep_metrics: tuple[str, ...],
         stage_timings: dict[str, float],
@@ -343,6 +356,25 @@ class ShardedArtifacts:
         self.sweep_mode = sweep_mode
         self.signature_threshold = signature_threshold
         self.sweep_stats = sweep_stats
+        # The private session directory of a build without ``store_dir``;
+        # its finalizer removes the directory if close() never runs.
+        self._directory: tempfile.TemporaryDirectory | None = None
+
+    def close(self) -> None:
+        """Close the stored shards and merged views, and remove the
+        private directory of a session built without ``store_dir``.
+
+        A ``store_dir`` is never removed: it is the crash-resume
+        checkpoint.  Views and shards must not be used after this.
+        """
+        for stored in (
+            *self.shards,
+            self.merged_candidates,
+            self.merged_join_candidates,
+        ):
+            stored.close()
+        if self._directory is not None:
+            self._directory.cleanup()
 
     @property
     def n_shards(self) -> int:
@@ -484,20 +516,20 @@ class ShardedBenchmarkSession:
     shard's ``blocked_candidates`` is its sweep join (top-``sweep_k``
     under ``shard_metrics``).
 
-    ``store_dir`` is the one persistence option and switches the
-    session out-of-core: each worker writes its shard's artifact store
-    (:mod:`repro.io.store`) into ``<store_dir>/shard-NNNN`` itself and
-    returns only a path handle + signature summary across the pool
-    boundary — the parent adopts the store, opens shards lazily (mmap
-    engine, SQL-backed benchmark/splits) and the sweep merges the
-    candidates in SQL into ``<store_dir>/merged.db``, selecting every
-    within-shard join straight out of its shard store, instead of
-    materializing them.  The shard stores are the crash-resume
-    checkpoint: a rerun over the same directory loads every verified
-    shard instead of rebuilding it, its within-shard join included.
-    Without ``store_dir`` workers return in-memory artifacts and nothing
-    is persisted.  ``store_backend`` accepts only ``"sqlite"``, the one
-    format left.
+    Every session builds out-of-core into a session directory: each
+    worker writes its shard's artifact store (:mod:`repro.io.store`)
+    into ``<directory>/shard-NNNN`` itself and returns only a path
+    handle + signature summary across the pool boundary — the parent
+    adopts the store, opens shards lazily (mmap engine, SQL-backed
+    benchmark/splits) and the sweep merges the candidates in SQL into
+    ``<directory>/merged.db``, selecting every within-shard join
+    straight out of its shard store.  ``store_dir`` names that directory
+    and is the one persistence option: its shard stores are the
+    crash-resume checkpoint, so a rerun over the same directory loads
+    every verified shard instead of rebuilding it, its within-shard join
+    included.  Without ``store_dir`` each :meth:`build` uses a private
+    temporary directory that :meth:`ShardedArtifacts.close` removes.
+    ``store_backend`` accepts only ``"sqlite"``, the one format left.
     """
 
     def __init__(
@@ -587,59 +619,56 @@ class ShardedBenchmarkSession:
 
     @property
     def shard_configs(self) -> tuple[BuildConfig, ...]:
-        """The configs the session's workers build, in shard order.
+        """The configs the session's workers build into ``store_dir``,
+        in shard order.
 
         The plan's configs with the within-shard sweep join as their
-        ``blocking`` stage (top-``sweep_k`` under the shard metrics) and,
-        with ``store_dir``, each shard's own store directory.  They are
-        the resume keys of the shard stores:
-        ``ShardCheckpointStore(store_dir).completed_shards(
-        session.shard_configs)`` lists the shards a rerun would load.
+        ``blocking`` stage (top-``sweep_k`` under the shard metrics) and
+        each shard's own store directory.  They are the resume keys of
+        the shard stores: ``ShardCheckpointStore(store_dir)
+        .completed_shards(session.shard_configs)`` lists the shards a
+        rerun would load.  Needs ``store_dir``: without it every build
+        picks a new private directory.
         """
+        return self._shard_configs(self.store_dir)
+
+    def _shard_configs(self, root: Path) -> tuple[BuildConfig, ...]:
         return tuple(
             replace(
                 config,
                 blocking_top_k=self.sweep_k,
                 blocking_metrics=self._shard_join_metrics,
-                store_dir=(
-                    config.store_dir
-                    if self.store_dir is None
-                    else str(shard_store_dir(self.store_dir, shard))
-                ),
+                store_dir=str(shard_store_dir(root, shard)),
             )
             for shard, config in enumerate(self.plan.shard_configs)
         )
 
     # ------------------------------------------------------------------ #
     def _build_shards(
-        self,
+        self, root: Path
     ) -> tuple[
         list[int],
-        list[BuildArtifacts],
+        list[StoredShard],
         list[RowSignatures | None],
         SessionHealth,
         dict[str, float],
     ]:
         """Run every shard's stage pipeline under supervision.
 
-        Worker scheduling never reaches the results: outcomes come back
-        in plan order whatever the completion order, and each shard's
-        streams derive from its own spawned seed.  In signature mode
-        every worker also summarizes its freshly built engine into
+        Every shard builds into its store under the session directory
+        ``root``.  Worker scheduling never reaches the results: outcomes
+        come back in plan order whatever the completion order, and each
+        shard's streams derive from its own spawned seed.  In signature
+        mode every worker also summarizes its freshly built engine into
         :class:`RowSignatures` — the parent receives ready-made summaries
         and only merges them.  Returns the surviving shard ids, their
-        artifacts and summaries, the session health report and the
+        stores and summaries, the session health report and the
         supervisor's timing rows (``shard:retries``, ``checkpoint:*``).
         """
         # Retries and checkpoints see the session's configs: store-backed
         # (fingerprints leave store_dir out, so a moved store still
         # resumes) and carrying the within-shard join.
-        configs = self.shard_configs
-        store = (
-            None
-            if self.store_dir is None
-            else ShardCheckpointStore(self.store_dir)
-        )
+        configs = self._shard_configs(root)
         supervisor = ShardSupervisor(
             configs,
             session_seed=self.plan.seed,
@@ -648,7 +677,7 @@ class ShardedBenchmarkSession:
             policy=self.retry_policy,
             failure_policy=self.failure_policy,
             fault_plan=self.fault_plan,
-            checkpoint_store=store,
+            checkpoint_store=ShardCheckpointStore(root),
             with_signatures=self.sweep_mode == "signature",
             sleep=self.sleep,
         )
@@ -673,40 +702,36 @@ class ShardedBenchmarkSession:
 
     def _sweep(
         self,
+        root: Path,
         shard_ids: list[int],
-        shards: list[BuildArtifacts],
+        shards: list[StoredShard],
         timings: dict[str, float],
         summaries: list[RowSignatures | None] | None = None,
-    ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
-        """Adopted per-shard joins + cross-shard pair sweeps, merged.
+    ) -> tuple[
+        StoredMergedCandidates, StoredMergedCandidates, SweepPruneStats
+    ]:
+        """Stored per-shard joins + cross-shard pair sweeps, merged.
 
-        Every shard's within-shard join comes from its build (its
-        ``blocked_candidates``); only the cross-shard pairs are joined
-        here.  In store-backed mode each join is checked against its
-        store's manifest, only its ``(row_a, row_b)`` columns are read
-        (for the group completion), and it is merged in SQL into
-        ``<store_dir>/merged.db`` (see
-        :class:`~repro.shard.merge.MergedCandidateStore`), and the merged
+        Every shard's within-shard join comes from its build; only the
+        cross-shard pairs are joined here.  Each join is checked against
+        its store's manifest, only its ``(row_a, row_b)`` columns are
+        read (for the group completion), and it is merged in SQL into
+        ``<root>/merged.db`` (see
+        :class:`~repro.shard.merge.MergedCandidateStore`); the merged
         sets come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
         """
         universes = [
-            shard_universe(artifacts, shard)
-            for shard, artifacts in zip(shard_ids, shards)
+            shard_universe(stored, shard)
+            for shard, stored in zip(shard_ids, shards)
         ]
-        adopt = dict(k=self.sweep_k, metrics=self._shard_join_metrics)
-        if self.store_dir is None:
-            sink = None
-            joins = (
-                universe.adopt(artifacts.blocked_candidates, **adopt)
-                for universe, artifacts in zip(universes, shards)
+        sink = MergedCandidateStore(root / "merged.db")
+        joins = (
+            universe.adopt_stored(
+                stored, k=self.sweep_k, metrics=self._shard_join_metrics
             )
-        else:
-            sink = MergedCandidateStore(self.store_dir / "merged.db")
-            joins = (
-                universe.adopt_stored(artifacts, **adopt)
-                for universe, artifacts in zip(universes, shards)
-            )
+            for universe, stored in zip(universes, shards)
+        )
         try:
             return _sweep_universes(
                 universes,
@@ -721,8 +746,7 @@ class ShardedBenchmarkSession:
                 sink=sink,
             )
         finally:
-            if sink is not None:
-                sink.close()
+            sink.close()
 
     # ------------------------------------------------------------------ #
     def build(self) -> ShardedArtifacts:
@@ -730,12 +754,30 @@ class ShardedBenchmarkSession:
 
         Under ``failure_policy="degrade"`` the sweep runs over the
         surviving shards only; the returned artifacts' ``health`` names
-        every failed shard and every skipped shard pair.
+        every failed shard and every skipped shard pair.  Without
+        ``store_dir`` the session builds into a new private temporary
+        directory, which the returned artifacts own (see
+        :meth:`ShardedArtifacts.close`).
         """
+        root = self.store_dir
+        private = None
+        if root is None:
+            private = tempfile.TemporaryDirectory(prefix="repro-session-")
+            root = Path(private.name)
+        try:
+            artifacts = self._build(root)
+        except BaseException:
+            if private is not None:
+                private.cleanup()
+            raise
+        artifacts._directory = private
+        return artifacts
+
+    def _build(self, root: Path) -> ShardedArtifacts:
         timings: dict[str, float] = {}
         with Timer() as timer:
             shard_ids, shards, summaries, health, supervisor_timings = (
-                self._build_shards()
+                self._build_shards(root)
             )
         timings["shards"] = timer.elapsed
         timings.update(supervisor_timings)
@@ -749,7 +791,7 @@ class ShardedBenchmarkSession:
 
         with Timer() as timer:
             merged, merged_join, stats = self._sweep(
-                shard_ids, shards, timings, summaries
+                root, shard_ids, shards, timings, summaries
             )
         timings["sweep"] = timer.elapsed
 

@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.builder import BuildArtifacts, BuildConfig, build_one_corpus
+from repro.core.builder import BuildConfig, build_one_corpus
 from repro.errors import (
     CornerSelectionError,
     ShardBuildError,
@@ -68,7 +68,7 @@ from repro.errors import (
     ShardRetriesExhaustedError,
     ShardTimeoutError,
 )
-from repro.io.store import StoredShardHandle, clear_stale_lock
+from repro.io.store import StoredShard, StoredShardHandle, clear_stale_lock
 from repro.shard.checkpoint import ShardCheckpointStore
 from repro.shard.faults import FaultPlan
 from repro.similarity.signatures import RowSignatures
@@ -222,7 +222,7 @@ class ShardOutcome:
     """Everything the supervisor concluded about one planned shard."""
 
     shard: int
-    artifacts: BuildArtifacts | None
+    artifacts: StoredShard | None
     summary: RowSignatures | None
     attempts: tuple[AttemptRecord, ...]
     source: str  # "built" | "checkpoint" | "failed"
@@ -287,39 +287,44 @@ def _build_one_shard(
     attempt: int,
     with_signatures: bool,
     fault_plan: FaultPlan | None = None,
-) -> tuple[BuildArtifacts, RowSignatures | None, float]:
-    """One shard build attempt plus (optionally) its signature summary.
+) -> tuple[StoredShardHandle, RowSignatures | None, float]:
+    """One shard build attempt into ``config.store_dir``, plus
+    (optionally) its signature summary.
 
-    Module-level so process pools can pickle it.  Building the summary
-    *here* means worker processes summarize the engines they just built;
-    the parent only merges summaries.  Returns the worker-measured
-    elapsed seconds as the third element — the clock supervisors judge
-    post-hoc timeouts on, so queue wait never counts against the build.
+    Module-level so process pools can pickle it.  The build writes the
+    shard's artifact store, and only a two-field
+    :class:`~repro.io.store.StoredShardHandle` and the summary cross the
+    pool boundary back to the parent — never the built artifact graph.
+    Building the summary *here* means worker processes summarize the
+    engines they just built; the parent only merges summaries.  Returns
+    the worker-measured elapsed seconds as the third element — the clock
+    supervisors judge post-hoc timeouts on, so queue wait never counts
+    against the build.  A config without ``store_dir`` raises
+    :class:`ValueError`.
 
     The fault hook fires before any pipeline stage: ``fault_plan`` is
     the explicit (picklable) plan, and when none is given the ambient
     ``REPRO_FAULT_PLAN`` environment plan applies — both test-only.
     """
+    if not config.store_dir:
+        raise ValueError(
+            f"shard {shard}: a shard build writes its store into "
+            "config.store_dir, and this config names none"
+        )
     start = time.perf_counter()
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     if plan is not None:
         plan.inject(shard, attempt)
-    if config.store_dir is not None:
-        clear_stale_lock(config.store_dir)
+    clear_stale_lock(config.store_dir)
     artifacts = build_one_corpus(config)
     summary = None
     if with_signatures and artifacts.engine is not None:
         summary = RowSignatures.from_engine(artifacts.engine)
-    if config.store_dir is not None:
-        # Lazy-open contract: only the summary and a two-field handle
-        # cross the pool boundary back to the parent — never the built
-        # artifact graph (build_one_corpus already persisted the store).
-        return (
-            StoredShardHandle(str(config.store_dir), shard),
-            summary,
-            time.perf_counter() - start,
-        )
-    return artifacts, summary, time.perf_counter() - start
+    return (
+        StoredShardHandle(str(config.store_dir), shard),
+        summary,
+        time.perf_counter() - start,
+    )
 
 
 @dataclass
@@ -372,7 +377,7 @@ class ShardSupervisor:
         if checkpoint_store is not None:
             for shard, config in enumerate(self.configs):
                 expected = checkpoint_store.shard_dir(shard)
-                if config.store_dir is None or (
+                if not config.store_dir or (
                     Path(config.store_dir).resolve() != expected.resolve()
                 ):
                     raise ValueError(

@@ -21,11 +21,11 @@ comparable across shards (``CROSS_SHARD_METRICS``).
 
 The *within*-shard join needs no shared universe, so it runs where the
 data lives: a session shard's build computes it as its ``blocking``
-stage over raw ids (see :mod:`repro.core.builder`), and the sweep only
-rebinds it to the namespaced universe with :meth:`ShardUniverse.adopt`,
-or, for a shard store, leaves it on disk for the SQL merge
+stage over raw ids (see :mod:`repro.core.builder`) and persists it in
+the shard's store, and the sweep checks it against the store's manifest
+and leaves it on disk for the SQL merge
 (:meth:`ShardUniverse.adopt_stored`).  Join rows are row-indexed, and
-namespacing is a bijection inside one shard, so the rebound rows are
+namespacing is a bijection inside one shard, so the stored rows are
 exactly the join the namespaced universe would compute itself.
 """
 
@@ -92,69 +92,6 @@ class ShardUniverse:
             self.engine, offers=self.offers, group_labels=self.labels
         )
 
-    def _check_join(
-        self,
-        *,
-        rows: int,
-        n_queries: int,
-        join_k: int,
-        join_metrics: tuple[str, ...],
-        k: int,
-        metrics: tuple[str, ...],
-    ) -> None:
-        """Raise :class:`~repro.errors.SweepJoinError` unless a join over
-        ``rows`` rows with ``n_queries`` queries at ``join_k`` under
-        ``join_metrics`` is this universe's top-``k`` join under
-        ``metrics``."""
-        if (
-            rows != len(self)
-            or n_queries != len(self)
-            or join_k != k
-            or tuple(join_metrics) != tuple(metrics)
-        ):
-            raise SweepJoinError(
-                f"shard {self.shard}: the within-shard join covers "
-                f"{n_queries} of {rows} rows at k={join_k} under "
-                f"{tuple(join_metrics)}, but the sweep needs all "
-                f"{len(self)} rows at k={k} under {tuple(metrics)}"
-            )
-
-    def adopt(
-        self,
-        join: BlockedPairSet | None,
-        *,
-        k: int,
-        metrics: tuple[str, ...],
-    ) -> BlockedPairSet:
-        """This universe's own top-``k`` join, rebound to its blocker.
-
-        ``join`` is the full-universe join computed elsewhere — a shard
-        build's ``blocking`` stage over raw ids — whose rows index this
-        universe's engine.  The pairs are kept as they are; only the
-        blocker (namespaced offers and labels) changes.  A join over a
-        different row count, with another ``k`` or under other metrics
-        (or no join at all) raises :class:`~repro.errors.SweepJoinError`.
-        """
-        if join is None:
-            raise SweepJoinError(
-                f"shard {self.shard} carries no within-shard join"
-            )
-        self._check_join(
-            rows=len(join.blocker),
-            n_queries=join.n_queries,
-            join_k=join.k,
-            join_metrics=join.metrics,
-            k=k,
-            metrics=metrics,
-        )
-        return BlockedPairSet(
-            self.blocker(),
-            join.pairs,
-            k=join.k,
-            metrics=join.metrics,
-            n_queries=join.n_queries,
-        )
-
     def adopt_stored(
         self,
         stored: StoredShard,
@@ -164,11 +101,13 @@ class ShardUniverse:
     ) -> StoredShardJoin:
         """This universe's own top-``k`` join, left in ``stored``'s store.
 
-        The store-backed counterpart of :meth:`adopt`.  The join is
-        checked against its manifest record (row count, ``n_queries``,
-        ``k``, metrics) and raises
-        :class:`~repro.errors.SweepJoinError` like :meth:`adopt`.  Only
-        its ``(row_a, row_b)`` columns are read, to complete the group
+        ``stored`` is the shard store whose build computed the
+        full-universe join over raw ids; its rows index this universe's
+        engine.  The join is checked against its manifest record (row
+        count, ``n_queries``, ``k``, metrics): a join over a different
+        row count, with another ``k`` or under other metrics (or no join
+        at all) raises :class:`~repro.errors.SweepJoinError`.  Only its
+        ``(row_a, row_b)`` columns are read, to complete the group
         positives; :class:`~repro.shard.merge.MergedCandidateStore`
         selects the join rows from ``shard.db`` itself.
         """
@@ -177,15 +116,20 @@ class ShardUniverse:
             raise SweepJoinError(
                 f"shard {self.shard} carries no within-shard join"
             )
+        rows = stored.manifest["engine"]["rows"]
         join_metrics = tuple(info["metrics"])
-        self._check_join(
-            rows=stored.manifest["engine"]["rows"],
-            n_queries=info["n_queries"],
-            join_k=info["k"],
-            join_metrics=join_metrics,
-            k=k,
-            metrics=metrics,
-        )
+        if (
+            rows != len(self)
+            or info["n_queries"] != len(self)
+            or info["k"] != k
+            or join_metrics != tuple(metrics)
+        ):
+            raise SweepJoinError(
+                f"shard {self.shard}: the within-shard join covers "
+                f"{info['n_queries']} of {rows} rows at k={info['k']} "
+                f"under {join_metrics}, but the sweep needs all "
+                f"{len(self)} rows at k={k} under {tuple(metrics)}"
+            )
         blocker = self.blocker()
         return StoredShardJoin(
             shard=self.shard,

@@ -198,53 +198,63 @@ class TestCompareChaosGate:
 
 
 def _healthy_store() -> dict:
-    probe = {
-        "degraded": False,
-        "phases": {"build": 100, "sweep": 100, "merge": 100},
-        "candidates": 1000,
-        "join_candidates": 2000,
-        "positives": 150,
-    }
     return {
         "n_shards": 8,
         "scale": "default",
-        "in_memory": {**probe, "peak_rss_kb": 900_000},
-        "sqlite": {**probe, "peak_rss_kb": 400_000},
+        "sqlite": {
+            "degraded": False,
+            "peak_rss_kb": 400_000,
+            "phases": {"build": 100, "sweep": 100, "merge": 100},
+            "candidates": 1000,
+            "join_candidates": 2000,
+            "positives": 150,
+        },
     }
 
 
 class TestStoreFailures:
     def test_missing_section_is_a_failure(self):
-        failures = check_regression._store_failures(None)
+        failures = check_regression._store_failures(None, _healthy_store())
         assert failures
         assert "--store-rss" in failures[0] or "store-rss" in failures[0]
 
     def test_healthy_probe_passes(self):
-        assert check_regression._store_failures(_healthy_store()) == []
+        assert (
+            check_regression._store_failures(
+                _healthy_store(), _healthy_store()
+            )
+            == []
+        )
 
-    def test_store_peak_must_be_strictly_below_in_memory(self):
+    def test_store_peak_above_the_baseline_fails(self):
         section = _healthy_store()
-        section["sqlite"]["peak_rss_kb"] = section["in_memory"][
-            "peak_rss_kb"
-        ]
-        failures = check_regression._store_failures(section)
-        assert any("not below" in line for line in failures)
+        section["sqlite"]["peak_rss_kb"] += 1
+        failures = check_regression._store_failures(section, _healthy_store())
+        assert any("above the baseline" in line for line in failures)
+        # The bound is inclusive: the baseline's own peak passes.
+        section["sqlite"]["peak_rss_kb"] -= 1
+        assert check_regression._store_failures(section, _healthy_store()) == []
 
     def test_candidate_counts_must_match(self):
-        section = _healthy_store()
-        section["sqlite"]["candidates"] -= 1
-        failures = check_regression._store_failures(section)
-        assert any("candidates differ" in line for line in failures)
+        for count in ("candidates", "join_candidates", "positives"):
+            section = _healthy_store()
+            section["sqlite"][count] -= 1
+            failures = check_regression._store_failures(
+                section, _healthy_store()
+            )
+            assert any(f"{count} differ" in line for line in failures)
 
     def test_degraded_probe_session_fails(self):
         section = _healthy_store()
-        section["in_memory"]["degraded"] = True
-        failures = check_regression._store_failures(section)
+        section["sqlite"]["degraded"] = True
+        failures = check_regression._store_failures(section, _healthy_store())
         assert any("degraded" in line for line in failures)
 
     def test_missing_modes_fail(self):
-        failures = check_regression._store_failures({"n_shards": 8})
-        assert any("probe modes missing" in line for line in failures)
+        failures = check_regression._store_failures(
+            {"n_shards": 8}, _healthy_store()
+        )
+        assert any("probe is missing" in line for line in failures)
 
 
 class TestCompareStoreGate:

@@ -1,10 +1,11 @@
 """Fixtures shared by the shard test modules.
 
-The serial 3-shard store-backed session is the most expensive fixture
-of the store tests, so it is built once per test run:
-``tests/shard/test_session_store.py`` pins its merged results and
+The 3-shard sessions are the most expensive fixtures of the shard tests,
+so each is built once per test run: the serial session with
+``store_dir`` (``tests/shard/test_session.py`` and
+``tests/shard/test_session_store.py`` pin its merged results, and
 ``tests/shard/test_merged_store.py`` compares its ``merged.db`` with the
-python-stream oracle.
+python-stream oracle) and the process-executor session without one.
 """
 
 import pytest
@@ -32,9 +33,25 @@ def store_root(tmp_path_factory):
 def store_session(store_root):
     """The serial store session over ``store_plan()`` in
     ``store_root / "serial"``."""
-    return ShardedBenchmarkSession(
+    artifacts = ShardedBenchmarkSession(
         store_plan(),
         sweep_k=STORE_SWEEP_K,
         executor="serial",
         store_dir=store_root / "serial",
     ).build()
+    yield artifacts
+    artifacts.close()
+
+
+@pytest.fixture(scope="session")
+def process_session():
+    """The session over ``store_plan()`` on one worker process per shard,
+    without ``store_dir``: it builds into a private directory."""
+    artifacts = ShardedBenchmarkSession(
+        store_plan(),
+        sweep_k=STORE_SWEEP_K,
+        executor="process",
+        max_workers=STORE_SHARDS,
+    ).build()
+    yield artifacts
+    artifacts.close()

@@ -1,12 +1,15 @@
 """``merged.db``: the SQL merge against the python-stream oracle.
 
-:class:`~repro.shard.merge.MergedCandidateStore` merges a store-backed
-session in SQL: each shard's join is selected out of its ``shard.db``,
-only group positives and cross-shard rows come from python.  The
-reference it must equal, table for table and rowid for rowid, is the
-python stream it replaced, kept here as :class:`PythonStreamStore`: it
-streams :class:`~repro.shard.merge.MergedCandidate` rows into the same
-schema with ``INSERT OR IGNORE``.  The oracle's own contract is pinned
+:class:`~repro.shard.merge.MergedCandidateStore` merges a session in
+SQL: each shard's join is selected out of its ``shard.db``, only group
+positives and cross-shard rows come from python.  The reference it must
+equal, table for table and rowid for rowid, is the in-memory merge of
+the same shards (their joins rebound to namespaced blockers by
+:func:`adopt`, merged by ``merge_candidate_sets``) streamed by the
+python writer the SQL merge replaced, kept here as
+:class:`PythonStreamStore`: it streams
+:class:`~repro.shard.merge.MergedCandidate` rows into the same schema
+with ``INSERT OR IGNORE``.  The oracle's own contract is pinned
 on a hand-built stream first: per table, exactly the rows a python
 first-win dedup over canonical unordered pair keys keeps, in stream
 order; one ``offers`` row per referenced offer id, shared by both
@@ -21,6 +24,7 @@ import sqlite3
 
 import pytest
 
+from repro.blocking.candidates import BlockedPairSet
 from repro.core import BuildConfig
 from repro.corpus.schema import ProductOffer
 from repro.errors import StoreError
@@ -37,6 +41,20 @@ from repro.shard.merge import (
 from repro.shard.session import _sweep_universes
 from repro.shard.sweep import shard_universe
 from repro.similarity.engine import SimilarityEngine
+
+
+def adopt(universe, join):
+    """``join`` — a shard build's within-shard join over raw ids — bound
+    to ``universe``'s namespaced blocker, pairs unchanged: the in-memory
+    input of the oracle merge."""
+    assert len(join.blocker) == len(universe) == join.n_queries
+    return BlockedPairSet(
+        universe.blocker(),
+        join.pairs,
+        k=join.k,
+        metrics=join.metrics,
+        n_queries=join.n_queries,
+    )
 
 
 class PythonStreamStore:
@@ -358,13 +376,12 @@ def _oracle(artifacts, path):
         for shard, stored in zip(artifacts.shard_ids, artifacts.shards)
     ]
     joins = [
-        universe.adopt(
-            stored.blocked_candidates,
-            k=SWEEP_K,
-            metrics=SimilarityEngine.METRICS,
-        )
+        adopt(universe, stored.blocked_candidates)
         for universe, stored in zip(universes, artifacts.shards)
     ]
+    for join in joins:
+        assert join.k == SWEEP_K
+        assert join.metrics == SimilarityEngine.METRICS
     completed, join_only, _ = _sweep_universes(
         universes,
         joins,
@@ -387,15 +404,6 @@ def _oracle(artifacts, path):
     finally:
         store.close()
     return _dump(path)
-
-
-def _close(artifacts):
-    for stored in (
-        *artifacts.shards,
-        artifacts.merged_candidates,
-        artifacts.merged_join_candidates,
-    ):
-        stored.close()
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +457,7 @@ class TestSqlMergeMatchesOracle:
         assert set(artifacts.health.statuses.values()) == {"checkpoint"}
         assert reads == []
         _assert_tables(copied_root, finished[1])
-        _close(artifacts)
+        artifacts.close()
 
     def test_degraded_session_namespaces_by_plan_id(self, copied_root, tmp_path):
         # Shard 0 has no store and crashes on every attempt: the survivors
@@ -469,7 +477,7 @@ class TestSqlMergeMatchesOracle:
         _assert_tables(copied_root, _oracle(artifacts, tmp_path / "oracle.db"))
         offers = _dump(copied_root / "merged.db")["offers"]
         assert {row[1].split(":")[0] for row in offers} == {"s1", "s2"}
-        _close(artifacts)
+        artifacts.close()
 
     def test_one_attached_shard_at_a_time(
         self, finished, copied_root, monkeypatch
@@ -484,7 +492,7 @@ class TestSqlMergeMatchesOracle:
             )
 
         monkeypatch.setattr(MergedCandidateStore, "__init__", limited)
-        _close(_session(copied_root).build())
+        _session(copied_root).build().close()
         _assert_tables(copied_root, finished[1])
         # The limit is in force: with none allowed the merge cannot run.
         limit["attached"] = 0

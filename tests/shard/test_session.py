@@ -6,6 +6,10 @@ and shard completion order: shard seeds are spawned per shard index,
 worker results are collected in plan order and the sweep visits shard
 pairs lexicographically.  The fingerprint is sha256-pinned across PRs in
 the style of ``TestCrossRevisionIdentity``.
+
+The serial session with ``store_dir`` and the process-executor session
+without one are shared with the other shard test modules (see
+``tests/shard/conftest.py``): they are built over this module's plan.
 """
 
 import hashlib
@@ -46,13 +50,9 @@ def _session(executor, max_workers=None):
 
 
 @pytest.fixture(scope="module")
-def serial_session():
-    return _session("serial")
-
-
-@pytest.fixture(scope="module")
-def process_session():
-    return _session("process", max_workers=N_SHARDS)
+def serial_session(store_session):
+    """The shared serial session: this module's plan and ``sweep_k``."""
+    return store_session
 
 
 def _candidates_fingerprint(merged) -> str:

@@ -1,15 +1,17 @@
 """The store-backed session: parity, lazy worker opens, resume, fallback.
 
-The acceptance contract of the out-of-core refactor: a ``store_dir``
-session must be *byte-identical* to the in-memory path — same merged
-candidate fingerprint, same merged benchmark fingerprint, across serial
-and process execution — while never shipping a ``BuildArtifacts`` across
-the pool boundary (workers return
-:class:`~repro.io.store.StoredShardHandle` path handles), and a
-corrupted shard store must fall back to a rebuild in session mode while
-strict opens raise :class:`~repro.errors.StoreError`.
+Every session builds through shard stores, with ``store_dir`` or in a
+private directory.  Either way it must land on the pinned merged
+results — same merged candidate fingerprint, same merged benchmark
+fingerprint, across serial and process execution — while never shipping
+a ``BuildArtifacts`` across the pool boundary (workers return
+:class:`~repro.io.store.StoredShardHandle` path handles).  A corrupted
+shard store must fall back to a rebuild in session mode while strict
+opens raise :class:`~repro.errors.StoreError`, and a private directory
+must be gone once its artifacts are closed or collected.
 """
 
+import gc
 import hashlib
 import json
 import shutil
@@ -32,9 +34,9 @@ from repro.shard import (
 from repro.similarity.engine import SimilarityEngine
 from repro.shard.supervisor import _build_one_shard
 
-# The same geometry and sha256 pins as tests/shard/test_session.py: the
-# store-backed path must land on the byte-identical merged results the
-# in-memory path is pinned to.
+# The same geometry and sha256 pins as tests/shard/test_session.py: a
+# session with store_dir must land on the byte-identical merged results
+# a session without one is pinned to.
 N_SHARDS = 3
 SWEEP_K = 10
 EXPECTED_MERGED_SHA256 = (
@@ -85,8 +87,10 @@ def _store_session(store_dir, executor="serial", **kwargs):
     )
 
 
-# ``store_root`` and ``store_session`` (the serial session of ``_plan()``
-# in ``store_root / "serial"``) come from ``tests/shard/conftest.py``.
+# ``store_root``, ``store_session`` (the serial session of ``_plan()``
+# in ``store_root / "serial"``) and ``process_session`` (the process
+# session of ``_plan()`` without ``store_dir``) come from
+# ``tests/shard/conftest.py``.
 
 
 class TestParity:
@@ -102,16 +106,13 @@ class TestParity:
             == EXPECTED_BENCHMARK_SHA256
         )
 
-    def test_process_executor_identical(self, store_root):
-        session = _store_session(
-            store_root / "process", executor="process"
-        ).build()
+    def test_process_executor_identical(self, process_session):
         assert (
-            _candidates_fingerprint(session.merged_candidates)
+            _candidates_fingerprint(process_session.merged_candidates)
             == EXPECTED_MERGED_SHA256
         )
         assert (
-            _benchmark_fingerprint(session.merged_benchmark)
+            _benchmark_fingerprint(process_session.merged_benchmark)
             == EXPECTED_BENCHMARK_SHA256
         )
 
@@ -173,6 +174,12 @@ class TestLazyWorkerOpens:
         assert elapsed > 0
         opened = artifacts.open(strict=True)
         assert isinstance(opened, StoredShard)
+
+    def test_worker_needs_a_store_dir(self):
+        config = _plan().shard_configs[0]
+        assert config.store_dir is None
+        with pytest.raises(ValueError, match="store_dir"):
+            _build_one_shard(config, shard=0, attempt=1, with_signatures=True)
 
     def test_no_build_artifacts_cross_pool_boundary(self, store_root):
         # The handle is the *entire* worker payload for artifacts: its
@@ -319,24 +326,89 @@ class TestWithinShardJoinInTheBuild:
     def test_mismatched_join_is_a_typed_error(self, store_session):
         stored = store_session.shards[0]
         universe = shard_universe(stored, 0)
-        join = stored.blocked_candidates
-        adopted = universe.adopt(
-            join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+        adopted = universe.adopt_stored(
+            stored, k=SWEEP_K, metrics=SimilarityEngine.METRICS
         )
-        assert adopted.pairs is join.pairs
-        assert adopted.blocker.offer_ids[0].startswith("s0")
+        assert adopted.database == stored.database
+        assert adopted.metrics == SimilarityEngine.METRICS
+        assert adopted.group.blocker.offer_ids[0].startswith("s0")
         with pytest.raises(SweepJoinError, match="k=11"):
-            universe.adopt(
-                join, k=SWEEP_K + 1, metrics=SimilarityEngine.METRICS
+            universe.adopt_stored(
+                stored, k=SWEEP_K + 1, metrics=SimilarityEngine.METRICS
             )
         with pytest.raises(SweepJoinError, match=r"under \('cosine',\)"):
-            universe.adopt(join, k=SWEEP_K, metrics=("cosine",))
+            universe.adopt_stored(stored, k=SWEEP_K, metrics=("cosine",))
+        no_join = StoredShard(
+            stored.directory,
+            {
+                key: value
+                for key, value in stored.manifest.items()
+                if key != "blocked"
+            },
+        )
         with pytest.raises(SweepJoinError, match="no within-shard join"):
-            universe.adopt(None, k=SWEEP_K, metrics=("cosine",))
-        with pytest.raises(SweepJoinError, match="rows"):
-            universe.restrict([0, 1]).adopt(
-                join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+            universe.adopt_stored(
+                no_join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
             )
+        with pytest.raises(SweepJoinError, match="rows"):
+            universe.restrict([0, 1]).adopt_stored(
+                stored, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+            )
+
+
+def _one_shard_session(**kwargs):
+    """Shard 0 of ``_plan()`` as a session of its own, joined under
+    cosine only: a cheap fresh session for the tests that dispose of
+    one."""
+    plan = _plan()
+    return ShardedBenchmarkSession(
+        ShardPlan(shard_configs=plan.shard_configs[:1], seed=plan.seed),
+        sweep_k=SWEEP_K,
+        shard_metrics=("cosine",),
+        executor="serial",
+        **kwargs,
+    )
+
+
+class TestSessionDirectory:
+    """Without ``store_dir`` a session builds into a private directory
+    that its artifacts own; a ``store_dir`` outlives its artifacts."""
+
+    def test_private_session_is_store_backed(self, process_session):
+        directory = process_session.shards[0].directory.parent
+        assert all(
+            isinstance(shard, StoredShard) for shard in process_session.shards
+        )
+        for merged in (
+            process_session.merged_candidates,
+            process_session.merged_join_candidates,
+        ):
+            assert isinstance(merged, StoredMergedCandidates)
+            assert merged.path == directory / "merged.db"
+
+    def test_close_removes_the_private_directory(self):
+        artifacts = _one_shard_session().build()
+        directory = artifacts.shards[0].directory.parent
+        assert (directory / "merged.db").exists()
+        artifacts.close()
+        assert not directory.exists()
+
+    def test_collection_removes_the_private_directory(self):
+        artifacts = _one_shard_session().build()
+        directory = artifacts.shards[0].directory.parent
+        assert (directory / "merged.db").exists()
+        del artifacts
+        gc.collect()
+        assert not directory.exists()
+
+    def test_close_keeps_the_store_dir(self, tmp_path):
+        root = tmp_path / "store"
+        session = _one_shard_session(store_dir=root)
+        session.build().close()
+        assert (root / "merged.db").exists()
+        # The shard store is still a checkpoint a rerun would load.
+        store = ShardCheckpointStore(root)
+        assert store.completed_shards(session.shard_configs) == [0]
 
 
 class TestValidation:
