@@ -7,14 +7,15 @@ run on the final corpus while doing per-delta work proportional to the
 affected neighbourhood — the FINEX-style "fast, indexed, exact" shape:
 
 * **Neighbor index.** Every row's eps-neighbourhood (``1 - cosine ≤
-  eps``) is materialized once and maintained under append/retire.
-  Candidate generation reuses the signature machinery from
-  :mod:`repro.similarity.signatures`: prefix postings under a fixed
-  global token order (ascending engine column id — append-stable, since
-  the vocabulary grows append-only) plus the set-size length window,
-  both superset-safe for cosine at threshold ``1 - eps``.  Candidates
-  are then scored exactly through the engine's own kernels, so the
-  neighbour predicate is bit-identical to the batch path.
+  eps``) is materialized once and maintained under append/retire.  New
+  rows are linked in blocks of ``_LINK_BLOCK``: one sparse product
+  ``M @ M[block].T`` over the engine's token matrix gives every token
+  intersection of the block at once, and its non-zeros on clustered
+  rows are scored with the engine's own
+  :func:`~repro.similarity.features.cosine_dice_scores`, so the
+  neighbour predicate is bit-identical to the batch path.  A pair with
+  no shared token scores 0, which is a neighbour only for ``eps >= 1``;
+  there every clustered row neighbours every other.
 * **Component-local relabeling.** DBSCAN clusters never span
   eps-connected components, and within a component the textbook
   algorithm is deterministic given the neighbour sets and the ascending
@@ -39,7 +40,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.grouping.dbscan import NOISE
-from repro.similarity.signatures import length_window, prefix_lengths
+from repro.similarity.features import cosine_dice_scores
 
 __all__ = [
     "IncrementalDBSCAN",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _UNVISITED = -2
+# Rows per sparse product in ``_link_rows``: bounds the product's
+# transient memory (engine rows x block) without a Python loop per row.
+_LINK_BLOCK = 64
 
 
 def canonical_assignments(assignments: Mapping) -> dict:
@@ -97,9 +101,11 @@ def partition_sha(assignments: Mapping) -> str:
 
 
 class IncrementalDBSCAN:
-    """Indexed, exact DBSCAN maintained under engine append/retire.
+    """Exact DBSCAN over materialized eps-neighbourhoods, kept under
+    engine append/retire.
 
-    Bootstraps over ``engine.live_rows()`` and is then kept coherent by
+    Bootstraps over ``engine.live_rows()`` (one blocked sparse product
+    pass, see :meth:`_link_rows`) and is then kept coherent by
     calling :meth:`append` with the row indices ``engine.append``
     returned and :meth:`retire` with the rows passed to
     ``engine.retire`` (the serving layer's ``LiveShard`` does both).
@@ -122,17 +128,10 @@ class IncrementalDBSCAN:
         self.engine = engine
         self.eps = eps
         self.min_samples = min_samples
-        # Prefix/length pruning is sound for cosine >= threshold with
-        # threshold in (0, 1]; eps >= 1 admits pairs with no shared
-        # token, so the index degrades to a full candidate scan there.
-        self._threshold = 1.0 - eps
-        self._postings: dict[int, set[int]] = {}
-        self._prefix: dict[int, np.ndarray] = {}
         self._neighbors: dict[int, set[int]] = {}
         self._labels: dict[int, int] = {}
         self._next_cluster = 0
         rows = [int(row) for row in engine.live_rows()]
-        self._index_rows(rows)
         self._link_rows(rows)
         self._relabel(set(rows))
 
@@ -149,7 +148,6 @@ class IncrementalDBSCAN:
                 raise IndexError(f"row {row} outside engine of {len(self.engine)}")
         if not new_rows:
             return
-        self._index_rows(new_rows)
         self._link_rows(new_rows)
         self._relabel(self._component_of(new_rows))
 
@@ -163,11 +161,6 @@ class IncrementalDBSCAN:
             return
         region = self._component_of(gone) - set(gone)
         for row in gone:
-            for col in self._prefix.pop(row):
-                postings = self._postings[int(col)]
-                postings.discard(row)
-                if not postings:
-                    del self._postings[int(col)]
             for other in sorted(self._neighbors.pop(row)):
                 if other != row and other in self._neighbors:
                     self._neighbors[other].discard(row)
@@ -209,71 +202,47 @@ class IncrementalDBSCAN:
     # ------------------------------------------------------------------ #
     # Neighbor index maintenance
     # ------------------------------------------------------------------ #
-    def _row_columns(self, row: int) -> np.ndarray:
-        matrix = self.engine._matrix
-        start, end = int(matrix.indptr[row]), int(matrix.indptr[row + 1])
-        return np.sort(np.asarray(matrix.indices[start:end], dtype=np.intp))
-
-    def _index_rows(self, rows: Sequence[int]) -> None:
-        use_prefix = self._threshold > 0.0
-        for row in rows:
-            columns = self._row_columns(row)
-            if use_prefix and columns.size:
-                length = int(
-                    prefix_lengths(
-                        np.array([columns.size], dtype=np.float64),
-                        self._threshold,
-                    )[0]
-                )
-                prefix = columns[:length]
-            else:
-                prefix = columns
-            self._prefix[row] = prefix
-            for col in prefix:
-                self._postings.setdefault(int(col), set()).add(row)
-
-    def _candidates(self, row: int) -> np.ndarray:
-        if self._threshold <= 0.0:
-            # eps >= 1: every pair is admissible regardless of overlap.
-            return np.array(sorted(self._neighbors), dtype=np.intp)
-        gathered: set[int] = set()
-        for col in self._prefix[row]:
-            gathered |= self._postings[int(col)]
-        if not gathered:
-            return np.empty(0, dtype=np.intp)
-        candidates = np.array(sorted(gathered), dtype=np.intp)
-        sizes = self.engine._set_sizes
-        lo, hi = length_window(
-            np.array([sizes[row]], dtype=np.float64), self._threshold
-        )
-        keep = (sizes[candidates] >= lo[0]) & (sizes[candidates] <= hi[0])
-        return candidates[keep]
-
     def _link_rows(self, rows: Sequence[int]) -> None:
         """Compute the new rows' exact neighbour sets, symmetrically.
 
-        Rows must already be indexed (so new↔new pairs are visible from
-        either side); existing rows gain the new rows through the
-        symmetric insert.  The score path is the engine's own exact
-        kernel, so the predicate matches the batch clusterer's
-        ``1 - score <= eps`` bit for bit.
+        The new rows join the clustered set first, so new↔new pairs are
+        found from either side; existing rows gain the new rows through
+        the symmetric insert.  Scores come from the engine's own
+        formula with ``_exact_subset_scores``' argument order, so the
+        predicate matches the batch clusterer's ``1 - score <= eps``
+        bit for bit.
         """
         for row in rows:
             self._neighbors.setdefault(row, set())
-        for row in rows:
-            candidates = self._candidates(row)
-            if candidates.size:
-                scores = self.engine._exact_subset_scores(
-                    row, candidates, "cosine"
-                )
-                close = candidates[(1.0 - scores) <= self.eps]
-            else:
-                close = np.empty(0, dtype=np.intp)
-            neighbours = {int(other) for other in close}
-            self._neighbors[row] |= neighbours
-            for other in sorted(neighbours):
-                if other != row:
-                    self._neighbors[other].add(row)
+        if self.eps >= 1.0:
+            # Every score is >= 0, so every clustered pair is admissible.
+            everyone = sorted(self._neighbors)
+            for row in rows:
+                self._neighbors[row].update(everyone)
+            for other in everyone:
+                self._neighbors[other].update(rows)
+            return
+        matrix = self.engine._matrix
+        sizes = self.engine._set_sizes
+        clustered = np.zeros(matrix.shape[0], dtype=bool)
+        clustered[list(self._neighbors)] = True
+        for start in range(0, len(rows), _LINK_BLOCK):
+            block = np.asarray(rows[start : start + _LINK_BLOCK], dtype=np.intp)
+            # Engine rows x block; retired rows are masked out below.
+            product = matrix @ matrix[block].T
+            candidates = np.repeat(
+                np.arange(product.shape[0]), np.diff(product.indptr)
+            )
+            positions = product.indices
+            scores = cosine_dice_scores(
+                "cosine", product.data, sizes[candidates], sizes[block[positions]]
+            )
+            close = clustered[candidates] & ((1.0 - scores) <= self.eps)
+            for row, other in zip(
+                block[positions[close]].tolist(), candidates[close].tolist()
+            ):
+                self._neighbors[row].add(other)
+                self._neighbors[other].add(row)
 
     def _component_of(self, seeds: Sequence[int]) -> set[int]:
         """Union of the eps-connected components containing ``seeds``."""

@@ -13,12 +13,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.cleansing import CleansingPipeline
+from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.grouping.dbscan import DBSCAN, NOISE
 from repro.grouping.incremental import (
+    _LINK_BLOCK,
     IncrementalDBSCAN,
     canonical_assignments,
     partition_sha,
 )
+from repro.serve import LiveShard
 from repro.similarity.engine import SimilarityEngine
 
 _VOCAB = [
@@ -129,6 +133,118 @@ class TestBatchParity:
 
 def eps_seed(eps: float, min_samples: int) -> int:
     return int(eps * 1000) * 7 + min_samples
+
+
+def _assert_lifecycle_matches_batch(
+    initial: list[str], appended: list[str], *, eps: float, min_samples: int
+) -> None:
+    """Bootstrap, one append, then a retire — batch parity after each."""
+    engine = SimilarityEngine(initial)
+    incremental = IncrementalDBSCAN(engine, eps=eps, min_samples=min_samples)
+    assert incremental.sha() == _batch_partition(
+        engine, eps=eps, min_samples=min_samples
+    )
+    rows = engine.append(appended)
+    incremental.append(rows)
+    assert incremental.sha() == _batch_partition(
+        engine, eps=eps, min_samples=min_samples
+    )
+    alive = [int(row) for row in engine.live_rows()]
+    victims = alive[::3]
+    engine.retire(victims)
+    incremental.retire(victims)
+    assert incremental.sha() == _batch_partition(
+        engine, eps=eps, min_samples=min_samples
+    )
+
+
+class TestEdgeCases:
+    """Cases the eps grid above does not reach."""
+
+    @pytest.mark.parametrize("eps", [1.0, 1.5])
+    @pytest.mark.parametrize("min_samples", [1, 2])
+    def test_eps_at_least_one_links_every_row(self, eps, min_samples):
+        # A pair with no shared token scores 0, so every pair is within eps.
+        _assert_lifecycle_matches_batch(
+            _titles(18, seed=5) + ["", "!!!"],
+            _titles(7, seed=6) + ["!!!"],
+            eps=eps,
+            min_samples=min_samples,
+        )
+        engine = SimilarityEngine(_titles(12, seed=8) + [""])
+        incremental = IncrementalDBSCAN(engine, eps=eps, min_samples=min_samples)
+        assert incremental.neighbors_of(0) == list(range(13))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.35, 0.6])
+    @pytest.mark.parametrize("min_samples", [1, 2])
+    def test_empty_token_sets(self, eps, min_samples):
+        # An empty title shares no token, not even with itself: its cosine
+        # is 0 everywhere, so below eps 1 it has no neighbour at all.
+        _assert_lifecycle_matches_batch(
+            ["", "!!!"] + _titles(16, seed=11) + [""],
+            ["!!!", ""] + _titles(5, seed=12),
+            eps=eps,
+            min_samples=min_samples,
+        )
+        engine = SimilarityEngine(["", "exatron soniq", "!!!"])
+        incremental = IncrementalDBSCAN(engine, eps=eps, min_samples=min_samples)
+        assert incremental.neighbors_of(0) == []
+        assert incremental.neighbors_of(2) == []
+        assert incremental.assignments()[0] == NOISE
+
+    @pytest.mark.parametrize("eps", [0.35, 0.6])
+    @pytest.mark.parametrize("min_samples", [1, 3])
+    def test_append_spanning_several_blocks(self, eps, min_samples):
+        # New rows link to each other across block boundaries as well as
+        # to the bootstrap rows.
+        _assert_lifecycle_matches_batch(
+            _titles(10, seed=21),
+            _titles(2 * _LINK_BLOCK + 5, seed=22),
+            eps=eps,
+            min_samples=min_samples,
+        )
+
+    def test_append_to_an_empty_engine(self):
+        engine = SimilarityEngine([])
+        incremental = IncrementalDBSCAN(engine, eps=0.35, min_samples=1)
+        assert len(incremental) == 0
+        incremental.append(engine.append(_titles(_LINK_BLOCK + 1, seed=31)))
+        assert incremental.sha() == _batch_partition(
+            engine, eps=0.35, min_samples=1
+        )
+
+
+@pytest.fixture(scope="module")
+def serve_halves():
+    """The serve workloads' shards: the cleansed small corpus (seed 42)
+    split in half."""
+    corpus = CleansingPipeline().run(
+        CorpusGenerator(CorpusConfig.small(seed=42)).generate().corpus
+    )
+    offers = list(corpus.offers)
+    half = len(offers) // 2
+    return offers[:half], offers[half:]
+
+
+class TestServeScalePartitions:
+    """Partitions of the ~1,660-row serve shards, pinned."""
+
+    @pytest.mark.parametrize(
+        "shard, expected",
+        [
+            (0, "1e98522f4918388eaeffa88671c88100790263506c7bad3dbe5704812f1c3a76"),
+            (1, "121e39548202967c1508239aa290b6112f29c2a73b8c99b5ec9a6a79f25a24bc"),
+        ],
+    )
+    def test_matches_batch_and_pin(self, serve_halves, shard, expected):
+        offers = serve_halves[shard]
+        live = LiveShard(
+            SimilarityEngine([offer.title for offer in offers]), offers, shard=shard
+        )
+        assert live.clusterer.sha() == _batch_partition(
+            live.engine, eps=0.35, min_samples=1
+        )
+        assert live.clusters_sha() == expected
 
 
 class TestSurfaces:
