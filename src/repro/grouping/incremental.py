@@ -253,11 +253,9 @@ class IncrementalDBSCAN:
                 seen.add(seed)
                 queue.append(seed)
         while queue:
-            row = queue.popleft()
-            for other in sorted(self._neighbors[row]):
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
+            fresh = self._neighbors[queue.popleft()] - seen
+            seen |= fresh
+            queue.extend(fresh)
         return seen
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,7 @@ loop:
 * **Micro-batching.** One worker task drains up to ``max_batch`` queued
   items at a time and coalesces adjacent queries into a single
   ``external_top_k_batch`` call per shard, so N concurrent awaiters
-  cost one batched sparse matmul, not N.  Items are processed in
+  cost one batched postings-index count, not N.  Items are processed in
   arrival order, so a query enqueued after an append observes it.
 * **Deadlines.** Each query carries an optional deadline; the worker
   drops requests that expired while queued

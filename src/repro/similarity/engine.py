@@ -43,10 +43,12 @@ Since the serving layer landed, a *root* engine is also mutable:
   tokens count toward set sizes but intersect nothing).
 
 Corpus rows and external token sets share one scoring kernel: both
-become a CSR query block in the engine's column space, and Cosine/Dice
-everywhere — including the Generalized Jaccard cosine prefilter, exact
-subset ranking and the pair featurizer — come from
-:func:`~repro.similarity.features.cosine_dice_scores`.
+become token-id rows in the engine's column space, and their
+intersections with the universe are counted from a cached token → rows
+postings index (the incidence matrix, column-major), so no sparse matrix
+is built or transposed per call.  Cosine/Dice everywhere — including the
+Generalized Jaccard cosine prefilter, exact subset ranking and the pair
+featurizer — come from :func:`~repro.similarity.features.cosine_dice_scores`.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ __all__ = ["SimilarityEngine"]
 
 _GEN_JACCARD_PREFILTER = 48
 _BATCH_ROWS = 256  # cap on dense (queries x universe) score blocks
+_GATHER_ENTRIES = 1 << 16  # cap on posting entries gathered per counting pass
 _GJ_CACHE_ENTRIES = 1 << 20  # per-corpus Generalized-Jaccard pair cache bound
 
 
@@ -209,6 +212,7 @@ class SimilarityEngine:
         self._is_view = False
         self._growable: _RowBuffers | None = None
         self._signature_cache: tuple[int, RowSignatures] | None = None
+        self._postings: tuple[np.ndarray, np.ndarray] | None = None
         self.delta_version = 0
 
     @classmethod
@@ -450,6 +454,7 @@ class SimilarityEngine:
         )
         self.delta_version += 1
         self._signature_cache = None
+        self._postings = None
         # The cached title view wraps the pre-mutation matrix.
         self._attribute_views.pop("title", None)
 
@@ -662,35 +667,91 @@ class SimilarityEngine:
             )
         return self._embeddings
 
+    def _token_postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """The token → rows postings index, built on first use.
+
+        ``(indptr, rows)``: the incidence matrix column-major, so the rows
+        holding token ``t`` are ``rows[indptr[t]:indptr[t + 1]]``.  It is
+        derived state — a mutation drops it, no store persists it.
+        """
+        if self._postings is None:
+            by_token = self._matrix.tocsc()
+            self._postings = (
+                by_token.indptr.astype(np.int64), by_token.indices
+            )
+        return self._postings
+
+    def _intersections(self, queries: TokenIdRows) -> np.ndarray:
+        """``(len(queries), len(self))`` token-intersection counts.
+
+        Each query token's posting rows are gathered, and every
+        ``(query, row)`` hit adds one to the dense block in place
+        (``np.add.at`` on its flat view).  Ids past the index
+        (out-of-vocabulary tokens of external queries) hold no rows: they
+        count toward the query's set size but intersect nothing.  A
+        counting pass gathers at most ``_GATHER_ENTRIES`` entries (or one
+        token's postings), so the transient arrays stay bounded however
+        common the tokens are.  Counts are small integers, so the float64
+        block is exact.
+        """
+        token_ptr, token_rows = self._token_postings()
+        n = len(self)
+        counts = np.zeros((len(queries), n), dtype=np.float64)
+        hits = counts.reshape(-1)  # a view: ``counts`` is C-contiguous
+        owners, ids = queries.flat()
+        known = ids < token_ptr.size - 1
+        owners, ids = owners[known], ids[known]
+        if ids.size == 0:
+            return counts
+        offsets = token_ptr[ids]
+        widths = token_ptr[ids + 1] - offsets
+        ends = np.cumsum(widths)
+        step = np.arange(min(ends[-1], max(_GATHER_ENTRIES, widths.max())))
+        lo = 0
+        while lo < ids.size:
+            # Tokens lo..hi-1 fill this pass: their postings sit at
+            # [base, ends[hi - 1]) of the concatenated gather.
+            base = ends[lo] - widths[lo]
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(ends, base + _GATHER_ENTRIES, side="right")),
+            )
+            span = widths[lo:hi]
+            positions = np.repeat(offsets[lo:hi] - (ends[lo:hi] - span - base), span)
+            positions += step[: ends[hi - 1] - base]
+            keys = np.repeat(owners[lo:hi] * n, span)
+            keys += token_rows[positions]
+            np.add.at(hits, keys, 1.0)
+            lo = hi
+        return counts
+
     def _score_queries(
         self,
-        query_matrix: csr_matrix,
+        queries: TokenIdRows,
         query_sizes: np.ndarray,
         metric: str,
-        gj: tuple[TokenIdRows, np.ndarray, TokenIdSpace, BoundedPairCache | None]
+        gj: tuple[np.ndarray, TokenIdSpace, BoundedPairCache | None]
         | None = None,
     ) -> np.ndarray:
         """The one query-vs-universe scoring loop over token metrics.
 
-        ``query_matrix`` holds the queries as CSR rows in this engine's
-        column space and ``query_sizes`` their token-set sizes — corpus
-        rows and external token sets alike.  Generalized Jaccard also
-        needs ``gj``: the queries' id rows, canonical keys, token space
-        and set-pair cache (see :meth:`_generalized_jaccard_block`).
-        Chunked by ``_BATCH_ROWS`` so the dense block stays bounded.
+        ``queries`` holds the queries as id rows in this engine's column
+        space and ``query_sizes`` their token-set sizes — corpus rows and
+        external token sets alike.  Generalized Jaccard also needs ``gj``:
+        the queries' canonical keys, token space and set-pair cache (see
+        :meth:`_generalized_jaccard_block`).  Chunked by ``_BATCH_ROWS``
+        so the dense block stays bounded.
         """
-        out = np.empty((query_matrix.shape[0], len(self)), dtype=np.float64)
+        out = np.empty((len(queries), len(self)), dtype=np.float64)
         sizes = self._set_sizes[None, :]
-        for start in range(0, query_matrix.shape[0], _BATCH_ROWS):
+        for start in range(0, len(queries), _BATCH_ROWS):
             stop = start + _BATCH_ROWS
-            intersections = np.asarray(
-                (query_matrix[start:stop] @ self._matrix.T).todense()
-            )
+            intersections = self._intersections(queries[start:stop])
             chunk_sizes = query_sizes[start:stop, None]
             if metric == "generalized_jaccard":
-                ids, keys, space, cache = gj
+                keys, space, cache = gj
                 out[start:stop] = self._generalized_jaccard_block(
-                    ids[start:stop],
+                    queries[start:stop],
                     keys[start:stop],
                     space,
                     intersections,
@@ -719,14 +780,9 @@ class SimilarityEngine:
             return np.clip(embeddings[queries] @ embeddings.T, 0.0, 1.0)
         gj = None
         if metric == "generalized_jaccard":
-            gj = (
-                self._token_ids()[queries],
-                self._token_keys[queries],
-                self._token_space(),
-                self._gj_cache,
-            )
+            gj = (self._token_keys[queries], self._token_space(), self._gj_cache)
         return self._score_queries(
-            self._matrix[queries], self._set_sizes[queries], metric, gj
+            self._token_ids()[queries], self._set_sizes[queries], metric, gj
         )
 
     def _token_ids(self) -> TokenIdRows:
@@ -929,6 +985,10 @@ class SimilarityEngine:
 
         Vocabulary tokens keep their column ids; out-of-vocabulary tokens
         get call-local ids past the vocabulary, returned in id order.
+        Those ids intersect no corpus row but still count toward the
+        query's set size (``rows.sizes()``), so external scores equal what
+        ``append()`` → score → ``retire()`` would produce — the identity
+        the serving layer's parity pin rests on.
         """
         vocabulary = self.vocabulary
         extra: dict[str, int] = {}
@@ -945,22 +1005,6 @@ class SimilarityEngine:
             np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)
         )
         return rows, list(extra)
-
-    def _external_matrix(self, query_ids: TokenIdRows) -> csr_matrix:
-        """Query rows in this engine's column space.
-
-        Out-of-vocabulary query tokens intersect no corpus row but still
-        count toward the query's set size (``query_ids.sizes()``), so
-        external scores equal what ``append()`` → score → ``retire()``
-        would produce — the identity the serving layer's parity pin rests
-        on.
-        """
-        known = query_ids.indices < len(self.vocabulary)
-        indptr = np.concatenate(([0], np.cumsum(known)))[query_ids.indptr]
-        return csr_matrix(
-            (np.ones(int(indptr[-1])), query_ids.indices[known], indptr),
-            shape=(len(query_ids), self._matrix.shape[1]),
-        )
 
     def _external_keys(self, token_sets: Sequence[set[str]]) -> np.ndarray:
         """Call-local canonical keys past the corpus's: equal query sets
@@ -995,16 +1039,12 @@ class SimilarityEngine:
             # call-local); token pairs within the vocabulary still go
             # through the shared JW table.
             gj = (
-                query_ids,
                 self._external_keys(queries),
                 self._token_space().with_tokens(extra),
                 None,
             )
         return self._score_queries(
-            self._external_matrix(query_ids),
-            query_ids.sizes().astype(np.float64),
-            metric,
-            gj,
+            query_ids, query_ids.sizes().astype(np.float64), metric, gj
         )
 
     def external_top_k_batch(

@@ -736,6 +736,15 @@ class TokenIdRows:
     def sizes(self) -> np.ndarray:
         return (self.indptr[self.rows + 1] - self.indptr[self.rows]).astype(np.intp)
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry's ids, concatenated, and the entry each id belongs to."""
+        starts = self.indptr[self.rows].astype(np.int64)
+        lengths = self.indptr[self.rows + 1].astype(np.int64) - starts
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        firsts = np.cumsum(lengths) - lengths
+        positions = np.arange(owner.size) + (starts - firsts)[owner]
+        return owner, np.asarray(self.indices[positions], dtype=np.int64)
+
     def ordered(
         self, order: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -745,12 +754,8 @@ class TokenIdRows:
         order[id]`` (``stride`` exceeds every order value) and the
         per-entry lengths.
         """
-        starts = self.indptr[self.rows].astype(np.int64)
-        lengths = self.indptr[self.rows + 1].astype(np.int64) - starts
-        owner = np.repeat(np.arange(lengths.size), lengths)
-        firsts = np.cumsum(lengths) - lengths
-        positions = np.arange(owner.size) + (starts - firsts)[owner]
-        ids = np.asarray(self.indices[positions], dtype=np.int64)
+        owner, ids = self.flat()
+        lengths = self.sizes().astype(np.int64)
         stride = int(order.max()) + 1 if order.size else 1
         tags = owner * stride + order[ids]
         sort = np.argsort(tags)

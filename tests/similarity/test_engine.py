@@ -6,14 +6,18 @@ builder-path consumer onto the engine, so any drift here would silently
 change the benchmark.
 """
 
+import mmap
 import random
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from repro.io.store import open_store, write_store
+from repro.similarity import engine as engine_module
 from repro.similarity.embedding import LsaEmbeddingModel
 from repro.similarity.engine import SimilarityEngine
-from repro.similarity.features import TOKEN_METRICS
+from repro.similarity.features import TOKEN_METRICS, cosine_dice_scores
 from repro.similarity.token_based import (
     cosine_similarity,
     dice_similarity,
@@ -205,3 +209,169 @@ class TestViewsAndBatches:
 
     def test_rank_of_empty_candidates(self, engine):
         assert engine.rank(0, [], "cosine") == []
+
+
+# --------------------------------------------------------------------- #
+# The SciPy product as the oracle of the postings-index kernel
+# --------------------------------------------------------------------- #
+def _oracle_corpus(engine, rows):
+    """``(Q @ M.T).toarray()`` with Q the engine's own incidence rows."""
+    matrix = engine._matrix
+    return (matrix[np.asarray(rows, dtype=np.intp)] @ matrix.T).toarray()
+
+
+def _oracle_external(engine, token_sets):
+    """``(Q @ M.T).toarray()`` with Q built from the vocabulary directly.
+
+    Out-of-vocabulary tokens have no column, so they intersect nothing.
+    """
+    matrix = engine._matrix
+    rows, cols = [], []
+    for row, tokens in enumerate(token_sets):
+        for token in tokens:
+            column = engine.vocabulary.get(token)
+            if column is not None and column < matrix.shape[1]:
+                rows.append(row)
+                cols.append(column)
+    queries = csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(len(token_sets), matrix.shape[1]),
+    )
+    return (queries @ matrix.T).toarray()
+
+
+def _assert_corpus_oracle(engine, rows):
+    rows = np.asarray(rows, dtype=np.intp)
+    oracle = _oracle_corpus(engine, rows)
+    got = engine._intersections(engine._token_ids()[rows])
+    np.testing.assert_array_equal(got, oracle)
+    query_sizes = engine._set_sizes[rows][:, None]
+    for metric in ("cosine", "dice"):
+        np.testing.assert_array_equal(
+            engine.scores_batch(rows, metric),
+            cosine_dice_scores(
+                metric, oracle, query_sizes, engine._set_sizes[None, :]
+            ),
+        )
+    np.testing.assert_array_equal(
+        engine.scores_batch(rows, "generalized_jaccard"),
+        engine._generalized_jaccard_block(
+            engine._token_ids()[rows],
+            engine._token_keys[rows],
+            engine._token_space(),
+            oracle,
+            query_sizes,
+            cache=engine._gj_cache,
+        ),
+    )
+
+
+def _assert_external_oracle(engine, token_sets):
+    oracle = _oracle_external(engine, token_sets)
+    query_ids, _ = engine._external_ids(token_sets)
+    np.testing.assert_array_equal(engine._intersections(query_ids), oracle)
+    query_sizes = np.array([len(tokens) for tokens in token_sets], dtype=np.float64)[
+        :, None
+    ]
+    for metric in ("cosine", "dice"):
+        np.testing.assert_array_equal(
+            engine.external_scores_batch(token_sets, metric),
+            cosine_dice_scores(
+                metric, oracle, query_sizes, engine._set_sizes[None, :]
+            ),
+        )
+
+
+def _external_sets(titles):
+    """Token sets with out-of-vocabulary tokens, OOV-only and empty sets."""
+    sets = [set(tokenize(title)) for title in titles]
+    return (
+        [tokens | {"zzunseen", f"oov{i}"} for i, tokens in enumerate(sets)]
+        + [{"zzunseen"}, {"zzunseen", "yyunseen"}]
+        + [set(tokenize("")), set(tokenize("!!!"))]
+    )
+
+
+class TestPostingsKernelMatchesScipyProduct:
+    """Every intersection block equals ``(Q @ M.T).toarray()`` exactly."""
+
+    def test_corpus_row_queries(self, engine):
+        _assert_corpus_oracle(engine, range(len(engine)))
+        _assert_corpus_oracle(engine, [7, 7, 0, len(engine) - 1])
+
+    def test_external_sets_with_oov_and_empty_sets(self, engine, titles):
+        token_sets = _external_sets(titles)
+        assert set(tokenize("")) == set() and set(tokenize("!!!")) == set()
+        _assert_external_oracle(engine, token_sets)
+
+    def test_empty_sets_intersect_nothing(self, engine):
+        for title in ("", "!!!"):
+            query_ids, _ = engine._external_ids([set(tokenize(title))])
+            assert not engine._intersections(query_ids).any()
+        empty_rows = [len(engine) - 2, len(engine) - 1]  # "" and "!!! ---"
+        assert not engine._intersections(engine._token_ids()[empty_rows]).any()
+
+    def test_after_append_and_after_retire(self, titles):
+        live = SimilarityEngine(titles[:30], prefilter=8)
+        _assert_corpus_oracle(live, range(len(live)))  # builds the index
+        added = live.append(
+            titles[30:] + ["zzfresh veltrix card", "zzfresh zzother"]
+        )
+        assert live._postings is None
+        _assert_corpus_oracle(live, range(len(live)))
+        fresh = live._intersections(live._external_ids([{"zzfresh"}])[0])
+        assert fresh[0, added[-2:]].tolist() == [1.0, 1.0]
+        _assert_external_oracle(live, _external_sets(titles[:10]))
+        live.retire([0, 5, int(added[-1])])
+        assert live._postings is None
+        _assert_corpus_oracle(live, range(len(live)))
+        _assert_external_oracle(live, _external_sets(titles[:10]))
+
+    def test_view(self, engine, titles):
+        view = engine.view([5, 9, 2, 30, 44, 13, 48, 49])
+        _assert_corpus_oracle(view, range(len(view)))
+        _assert_external_oracle(view, _external_sets(titles[:12]))
+
+    def test_concat(self, titles):
+        left = SimilarityEngine(titles[:20])
+        right = SimilarityEngine(titles[20:] + ["zzonlyright card"])
+        combined = SimilarityEngine.concat([left, right])
+        _assert_corpus_oracle(combined, range(len(combined)))
+        _assert_external_oracle(combined, _external_sets(titles[::3]))
+
+    def test_store_opened_engine_over_mmap_arrays(self, tmp_path, artifacts_small):
+        write_store(tmp_path / "shard", artifacts_small, shard=0)
+        stored = open_store(tmp_path / "shard", strict=True).engine
+        base = stored._matrix.indices
+        while getattr(base, "base", None) is not None:
+            base = base.base
+        assert isinstance(base, (np.memmap, mmap.mmap))
+        rows = np.arange(0, len(stored), max(1, len(stored) // 64))
+        _assert_corpus_oracle(stored, rows)
+        _assert_external_oracle(stored, _external_sets(stored.titles[:16]))
+
+    def test_256_query_block_crosses_the_gather_cap(self):
+        rng = random.Random(99)
+        titles = [
+            "common " + " ".join(rng.choices(_VOCAB, k=rng.randint(1, 6)))
+            for _ in range(600)
+        ]
+        wide = SimilarityEngine(titles)
+        rows = np.arange(256)
+        ids = wide._token_ids()[rows]
+        token_ptr, _ = wide._token_postings()
+        _, query_tokens = ids.flat()
+        gathered = int(
+            (token_ptr[query_tokens + 1] - token_ptr[query_tokens]).sum()
+        )
+        assert gathered > engine_module._GATHER_ENTRIES
+        _assert_corpus_oracle(wide, rows)
+        _assert_external_oracle(wide, _external_sets(titles[:256]))
+
+    @pytest.mark.parametrize("cap", [1, 7, 300])
+    def test_small_caps_split_inside_queries_and_tokens(self, engine, titles, cap, monkeypatch):
+        # A cap below one token's postings puts that token alone in a pass
+        # and splits queries across passes.
+        monkeypatch.setattr(engine_module, "_GATHER_ENTRIES", cap)
+        _assert_corpus_oracle(engine, range(len(engine)))
+        _assert_external_oracle(engine, _external_sets(titles))
