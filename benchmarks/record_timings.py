@@ -449,7 +449,7 @@ def _store_rss_probe(n_shards: int, seed: int, store_dir: str, queue) -> None:
     after_build = peak_kb()
     phases["build"] = after_build - baseline
     merged, merged_join, _ = session._sweep(
-        root, shard_ids, shards, timings, summaries
+        root, shard_ids, shards, health, timings, summaries
     )
     after_sweep = peak_kb()
     phases["sweep"] = after_sweep - after_build

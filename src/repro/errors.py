@@ -56,6 +56,7 @@ __all__ = [
     "ShardCrashError",
     "ShardTimeoutError",
     "ShardRetriesExhaustedError",
+    "describe_task",
     "StoreError",
     "SweepJoinError",
     "ServiceError",
@@ -172,6 +173,19 @@ def _rebuild_shard_build_error(cls, message, shard, attempt, stage, elapsed):
     )
 
 
+def describe_task(key: int | tuple[int, int]) -> tuple[str, int, str]:
+    """``(subject, shard, stage)`` of a supervised task key.
+
+    A shard id ``i`` keys its build: ``("shard i", i, "build")``.  A
+    ``(i, j)`` shard pair keys its cross-shard join: ``("shard pair
+    i→j", i, "pair")``.  ``shard`` and ``stage`` fill the fields of the
+    :class:`ShardBuildError` raised for the task.
+    """
+    if isinstance(key, tuple):
+        return f"shard pair {key[0]}→{key[1]}", key[0], "pair"
+    return f"shard {key}", key, "build"
+
+
 class ShardCrashError(ShardBuildError):
     """The shard's worker died (broken process pool or simulated crash).
 
@@ -220,11 +234,10 @@ class StoreError(ReproError):
 class SweepJoinError(ReproError):
     """A shard's within-shard join cannot be adopted by the sweep.
 
-    Raised by :meth:`~repro.shard.sweep.ShardUniverse.adopt` and
-    :meth:`~repro.shard.sweep.ShardUniverse.adopt_stored` when the
-    join a shard build persisted was computed over a different number of
-    rows, with a different ``k`` or under different metrics than the
-    session's sweep asks for — or when the shard carries no join at all.
+    Raised by :func:`~repro.shard.sweep.adopt_stored` when the join a
+    shard build persisted does not cover every row, was computed with a
+    different ``k`` or under different metrics than the session's sweep
+    asks for — or when the shard carries no join at all.
     """
 
 

@@ -13,7 +13,8 @@ checkpoints are written in::
                                # per-file sha256, stage timings
       shard.db                 # SQLite: offers, clusters, tokens,
                                # pair/multiclass datasets, split entries,
-                               # selections, blocked candidates
+                               # selections, blocked candidates and
+                               # their group completion
       incidence_data.npy       # CSR token-incidence matrix, verbatim
       incidence_indices.npy    #   (dtypes preserved, mmap-loadable)
       incidence_indptr.npy
@@ -87,7 +88,8 @@ __all__ = [
     "OFFER_COLUMNS",
 ]
 
-STORE_SCHEMA = 1
+# 2: ``group_positives`` holds the group completion of the stored join.
+STORE_SCHEMA = 2
 
 _MANIFEST = "manifest.json"
 _DB = "shard.db"
@@ -284,6 +286,12 @@ CREATE TABLE blocked_pairs (
     query_row INTEGER NOT NULL,
     rank INTEGER NOT NULL
 );
+CREATE TABLE group_positives (
+    position INTEGER PRIMARY KEY,
+    row_a INTEGER NOT NULL,
+    row_b INTEGER NOT NULL,
+    score REAL NOT NULL
+);
 """
 
 _OFFER_SELECT = ", ".join(OFFER_COLUMNS)
@@ -420,7 +428,8 @@ def _populate_db(connection: sqlite3.Connection, artifacts) -> None:
             ),
         )
 
-    if artifacts.blocked_candidates is not None:
+    blocked = artifacts.blocked_candidates
+    if blocked is not None:
         connection.executemany(
             "INSERT INTO blocked_pairs VALUES (?, ?, ?, ?, ?, ?, ?)",
             (
@@ -433,8 +442,19 @@ def _populate_db(connection: sqlite3.Connection, artifacts) -> None:
                     pair.query_row,
                     pair.rank,
                 )
+                for position, pair in enumerate(blocked.pairs)
+            ),
+        )
+        # The group completion of the join, computed here while the join
+        # is in memory, so a merge selects it instead of recomputing it.
+        connection.executemany(
+            "INSERT INTO group_positives VALUES (?, ?, ?, ?)",
+            (
+                (position, pair.row_a, pair.row_b, pair.score)
                 for position, pair in enumerate(
-                    artifacts.blocked_candidates.pairs
+                    blocked.blocker.group_positives(
+                        [(pair.row_a, pair.row_b) for pair in blocked.pairs]
+                    )
                 )
             ),
         )
@@ -766,6 +786,25 @@ class StoredShard:
                 found[offer.offer_id] = offer
         return found
 
+    def offers_at_rows(self, rows: Iterable[int]) -> list[ProductOffer]:
+        """The corpus offers at engine ``rows``, in the given order.
+
+        Reads only those rows' offers, never the whole corpus: what a
+        shard-pair join needs of a shard it restricts to a block.
+        """
+        rows = [int(row) for row in rows]
+        found: dict[int, ProductOffer] = {}
+        for start in range(0, len(rows), 512):
+            chunk = rows[start : start + 512]
+            marks = ", ".join("?" for _ in chunk)
+            for row, *values in self._connection.execute(
+                f"SELECT r.row, {_OFFER_SELECT} FROM corpus_rows AS r "
+                f"JOIN offers USING (oid) WHERE r.row IN ({marks})",
+                chunk,
+            ):
+                found[row] = row_to_offer(values)
+        return [found[row] for row in rows]
+
     @cached_property
     def cleansed(self) -> SyntheticCorpus:
         offers = self._offers_by_oid
@@ -826,8 +865,15 @@ class StoredShard:
             {tokens[column] for column in indices[start:stop]}
             for start, stop in zip(indptr[:-1], indptr[1:])
         ]
+        titles = [
+            title
+            for (title,) in self._connection.execute(
+                "SELECT title FROM corpus_rows JOIN offers USING (oid) "
+                "ORDER BY row"
+            )
+        ]
         return {
-            "titles": [offer.title for offer in self.cleansed.offers],
+            "titles": titles,
             "token_sets": token_sets,
             "matrix": matrix,
             "set_sizes": self._sidecar("set_sizes"),
@@ -986,20 +1032,6 @@ class StoredShard:
             metrics=tuple(info["metrics"]),
             n_queries=info["n_queries"],
         )
-
-    def blocked_row_pairs(self) -> np.ndarray | None:
-        """The persisted join's ``(row_a, row_b)`` columns, in join order.
-
-        An ``(n, 2)`` row array: what group completion needs of a join,
-        read without building the :class:`BlockedPair` objects of
-        :attr:`blocked_candidates`.
-        """
-        if self.manifest.get("blocked") is None:
-            return None
-        rows = self._connection.execute(
-            "SELECT row_a, row_b FROM blocked_pairs ORDER BY position"
-        ).fetchall()
-        return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
     @property
     def blocker(self) -> CandidateBlocker | None:

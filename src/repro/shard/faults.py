@@ -7,7 +7,9 @@ failure* — threaded through
 :func:`~repro.shard.supervisor._build_one_shard` so every recovery path
 of the supervisor (pool rebuild, same-config retry, reseeded retry,
 degraded continuation) is reachable deterministically in CI instead of
-waiting for a real OOM.
+waiting for a real OOM.  A ``(i, j)`` pair in place of the shard id keys
+the cross-shard join task of shard pair ``(i, j)`` instead
+(:func:`~repro.shard.session.join_shard_pair`).
 
 Plans travel two ways: passed explicitly (picklable, so they reach
 worker processes through the pool), or ambient through the
@@ -16,6 +18,7 @@ inherit the environment, which lets an external harness (the CI chaos
 smoke step) inject faults without touching any call site:
 
     REPRO_FAULT_PLAN='[{"shard": 1, "attempt": 1, "kind": "crash"}]'
+    REPRO_FAULT_PLAN='[{"shard": [0, 1], "attempt": 1, "kind": "crash"}]'
 
 Faults fire *at most once* per (shard, attempt) key by construction —
 the supervisor passes the current attempt number, so a retried shard
@@ -31,7 +34,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from repro.errors import CornerSelectionError, ShardCrashError
+from repro.errors import CornerSelectionError, ShardCrashError, describe_task
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "FAULT_PLAN_ENV"]
 
@@ -48,6 +51,8 @@ _CRASH_EXIT_CODE = 13
 class FaultSpec:
     """One injected fault: what happens to ``shard`` on ``attempt``.
 
+    ``shard`` is a shard id (its build attempt) or a ``(i, j)`` shard
+    pair (its cross-shard join attempt; a JSON list is read as the pair).
     ``kind`` is one of :data:`FAULT_KINDS`:
 
     * ``"crash"`` — kill the worker process outright (``os._exit``), so
@@ -62,12 +67,14 @@ class FaultSpec:
       data-exhaustion failure whose retry must respawn the shard seeds.
     """
 
-    shard: int
+    shard: int | tuple[int, int]
     attempt: int
     kind: str
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.shard, list):
+            object.__setattr__(self, "shard", tuple(self.shard))
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
@@ -84,37 +91,43 @@ class FaultPlan:
 
     faults: tuple[FaultSpec, ...] = ()
 
-    def spec_for(self, shard: int, attempt: int) -> FaultSpec | None:
+    def spec_for(
+        self, shard: int | tuple[int, int], attempt: int
+    ) -> FaultSpec | None:
         """The first fault registered for ``(shard, attempt)``, if any."""
         for spec in self.faults:
             if spec.shard == shard and spec.attempt == attempt:
                 return spec
         return None
 
-    def inject(self, shard: int, attempt: int, *, sleep=time.sleep) -> None:
+    def inject(
+        self, shard: int | tuple[int, int], attempt: int, *, sleep=time.sleep
+    ) -> None:
         """Fire the fault registered for ``(shard, attempt)``, if any.
 
-        Called at the top of a shard build attempt, before any pipeline
-        stage runs.  ``sleep`` is injectable so unit tests can assert
-        sleep faults without waiting.
+        Called at the top of a shard build attempt (``shard`` a shard id)
+        or a shard-pair join attempt (``shard`` the ``(i, j)`` pair),
+        before any work runs.  ``sleep`` is injectable so unit tests can
+        assert sleep faults without waiting.
         """
         spec = self.spec_for(shard, attempt)
         if spec is None:
             return
+        subject, first, stage = describe_task(shard)
         if spec.kind == "sleep":
             sleep(spec.seconds)
         elif spec.kind == "crash":
             if multiprocessing.parent_process() is not None:
                 os._exit(_CRASH_EXIT_CODE)
             raise ShardCrashError(
-                f"injected crash of shard {shard} on attempt {attempt}",
-                shard=shard,
+                f"injected crash of {subject} on attempt {attempt}",
+                shard=first,
                 attempt=attempt,
-                stage="build",
+                stage=stage,
             )
         elif spec.kind == "corner_selection":
             raise CornerSelectionError(
-                f"injected corner-selection failure of shard {shard} on "
+                f"injected corner-selection failure of {subject} on "
                 f"attempt {attempt}: needed 800, found 795",
                 needed=800,
                 found=795,

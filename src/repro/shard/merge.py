@@ -20,13 +20,14 @@ Two merges happen at the end of a sharded session:
 
 A session's candidate merge runs in SQLite (:class:`MergedCandidateStore`
 → ``merged.db`` in the session directory), where the rows already are:
-every shard's join is selected straight out of that shard's ``shard.db``
-with ``INSERT OR IGNORE … SELECT``, the namespaced ids, canonical pair
-keys and provenance being SQL expressions, so no within-shard candidate
-passes through python.  Only the small sets (each shard's completed
-group positives and the cross-shard sweeps) are inserted from python.
-Dedup is ``INSERT OR IGNORE`` over canonical unordered pair keys in
-first-win order.  The file is served back as
+every shard's join and its group completion are selected straight out of
+that shard's ``shard.db`` with ``INSERT OR IGNORE … SELECT``, the
+namespaced ids, canonical pair keys and provenance being SQL
+expressions.  Each cross-shard join is written by the worker that
+computed it into a small pair store (:func:`write_pair_store`), already
+namespaced and tagged, and appended the same way, so no candidate row
+passes through the merging process's python.  Dedup is ``INSERT OR
+IGNORE`` over canonical unordered pair keys in first-win order.  The file is served back as
 :class:`StoredMergedCandidates` — a lazy query view with windowed
 iteration and SQL aggregates, so recall and dataset consumers run
 without a merged copy in RAM.  :func:`merge_candidate_sets` is the
@@ -42,7 +43,8 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -68,7 +70,9 @@ __all__ = [
     "MergedCandidateStore",
     "StoredMergedCandidates",
     "StoredShardJoin",
+    "StoredPairJoin",
     "MERGED_SCHEMA",
+    "write_pair_store",
     "merge_candidate_sets",
     "merge_benchmarks",
     "merge_corpora",
@@ -263,16 +267,28 @@ class StoredShardJoin:
     """One shard's within-shard join, left where it sits: in its store.
 
     ``database`` is the shard's ``shard.db``, whose ``blocked_pairs``
-    :class:`MergedCandidateStore` selects in place.  ``group`` holds the
-    group positives that join misses, bound to the shard's namespaced
-    blocker (built by
-    :meth:`~repro.shard.sweep.ShardUniverse.adopt_stored`).
+    (the join) and ``group_positives`` (the group positives that join
+    misses, stored by the build) :class:`MergedCandidateStore` selects
+    in place.  Built by :func:`~repro.shard.sweep.adopt_stored`.
     """
 
     shard: int
     database: Path
     metrics: tuple[str, ...]
-    group: BlockedPairSet
+
+
+@dataclass(frozen=True)
+class StoredPairJoin:
+    """One cross-shard join, written to its pair store by the process
+    that computed it (:func:`write_pair_store`).
+
+    ``pair`` is the ``(i, j)`` shard pair, ``database`` the pair store
+    and ``pid`` the process that ran the join.
+    """
+
+    pair: tuple[int, int]
+    database: Path
+    pid: int
 
 
 # --------------------------------------------------------------------- #
@@ -313,11 +329,13 @@ _OFFER_PLACEHOLDERS = ", ".join("?" for _ in OFFER_COLUMNS)
 # The offer columns that carry shard-local ids, namespaced on the way in.
 _NAMESPACED_OFFER_COLUMNS = ("offer_id", "cluster_id", "true_cluster_id")
 
-# One attached shard's join rows as merged candidates, in join order.
-# ``:tag`` is the shard's ``s<i>:`` prefix and ``:provenance`` its
-# ``shard:<i>→<i>:`` tag.  Inside one shard the prefix is shared, so the
-# raw ids order the canonical key exactly like the namespaced ones.
-_JOIN_INSERT = """
+# One attached shard's stored rows as merged candidates, in position
+# order: its join (``blocked_pairs``) or its group completion
+# (``group_positives``, metric ``group``).  ``:tag`` is the shard's
+# ``s<i>:`` prefix and ``:provenance`` its ``shard:<i>→<i>:`` tag.
+# Inside one shard the prefix is shared, so the raw ids order the
+# canonical key exactly like the namespaced ones.
+_SEGMENT_INSERT = """
 INSERT OR IGNORE INTO candidates_completed
 SELECT
     :tag || CASE WHEN a.offer_id <= b.offer_id
@@ -328,9 +346,9 @@ SELECT
     :tag || b.offer_id,
     a.cluster_id = b.cluster_id,
     p.score,
-    p.metric,
-    :provenance || p.metric
-FROM shard.blocked_pairs AS p
+    {metric},
+    :provenance || {metric}
+FROM shard.{table} AS p
 JOIN shard.corpus_rows AS row_a ON row_a.row = p.row_a
 JOIN shard.offers AS a ON a.oid = row_a.oid
 JOIN shard.corpus_rows AS row_b ON row_b.row = p.row_b
@@ -338,9 +356,9 @@ JOIN shard.offers AS b ON b.oid = row_b.oid
 ORDER BY p.position
 """
 
-# The namespaced offers of one attached shard's join, in first-appearance
-# order (``offer_a`` before ``offer_b`` within a row).
-_JOIN_OFFERS_INSERT = f"""
+# The namespaced offers those rows reference, in first-appearance order
+# (``offer_a`` before ``offer_b`` within a row).
+_SEGMENT_OFFERS_INSERT = f"""
 INSERT OR IGNORE INTO offers
 SELECT {", ".join(
     f":tag || o.{name}" if name in _NAMESPACED_OFFER_COLUMNS else f"o.{name}"
@@ -349,9 +367,9 @@ SELECT {", ".join(
 FROM (
     SELECT row, MIN(appearance) AS first FROM (
         SELECT row_a AS row, 2 * position AS appearance
-        FROM shard.blocked_pairs
+        FROM shard.{{table}}
         UNION ALL
-        SELECT row_b, 2 * position + 1 FROM shard.blocked_pairs
+        SELECT row_b, 2 * position + 1 FROM shard.{{table}}
     )
     GROUP BY row
 ) AS ref
@@ -359,6 +377,97 @@ JOIN shard.corpus_rows AS r ON r.row = ref.row
 JOIN shard.offers AS o ON o.oid = r.oid
 ORDER BY ref.first
 """
+
+# (table, metric expression) of a shard's two segments, in merge order.
+_SHARD_SEGMENTS = (("blocked_pairs", "p.metric"), ("group_positives", "'group'"))
+
+_CANDIDATE_COLUMNS = (
+    "key_a, key_b, offer_a, offer_b, label, score, metric, provenance"
+)
+
+# A pair store: one cross-shard join's merged candidates and the offers
+# they reference, both in the order the merge appends them.
+_PAIR_DDL = [
+    """CREATE TABLE candidates (
+        position INTEGER PRIMARY KEY,
+        key_a TEXT NOT NULL,
+        key_b TEXT NOT NULL,
+        offer_a TEXT NOT NULL,
+        offer_b TEXT NOT NULL,
+        label INTEGER NOT NULL,
+        score REAL NOT NULL,
+        metric TEXT NOT NULL,
+        provenance TEXT NOT NULL
+    )""",
+    "CREATE TABLE offers (position INTEGER PRIMARY KEY, "
+    + ", ".join(
+        f"{name} {'REAL' if name == 'price' else 'TEXT'}" for name in OFFER_COLUMNS
+    )
+    + ")",
+]
+
+_PAIR_INSERTS = (
+    f"INSERT OR IGNORE INTO candidates_completed SELECT {_CANDIDATE_COLUMNS} "
+    "FROM pair.candidates ORDER BY position",
+    f"INSERT OR IGNORE INTO offers SELECT {', '.join(OFFER_COLUMNS)} "
+    "FROM pair.offers ORDER BY position",
+)
+
+
+def write_pair_store(
+    path: Path | str,
+    pair: tuple[int, int],
+    blocked: BlockedPairSet,
+    partition: np.ndarray,
+) -> StoredPairJoin:
+    """Write one cross-shard join's candidates into the pair store ``path``.
+
+    ``blocked`` is the join over a combined universe and ``partition``
+    maps its rows to shard ids (see
+    :func:`~repro.shard.sweep.cross_shard_candidates`).  Rows are stored
+    namespaced, keyed and tagged exactly as ``merged.db`` holds them, in
+    join order, with every offer they reference once, in first-appearance
+    order.  The file is written at ``<path>.tmp`` and renamed, so a
+    crash leaves no partial store under ``path``.
+    """
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    temp.unlink(missing_ok=True)
+    referenced: dict[str, ProductOffer] = {}
+
+    def rows() -> Iterator[tuple]:
+        for offer_a, offer_b, label, score, metric, provenance in (
+            _iter_blocked(blocked, partition)
+        ):
+            a, b = offer_a.offer_id, offer_b.offer_id
+            referenced.setdefault(a, offer_a)
+            referenced.setdefault(b, offer_b)
+            key_a, key_b = (a, b) if a <= b else (b, a)
+            yield key_a, key_b, a, b, label, score, metric, provenance
+
+    connection = sqlite3.connect(temp)
+    try:
+        with connection:
+            for statement in _PAIR_DDL:
+                connection.execute(statement)
+            connection.executemany(
+                f"INSERT INTO candidates ({_CANDIDATE_COLUMNS}) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows(),
+            )
+            connection.executemany(
+                f"INSERT INTO offers ({', '.join(OFFER_COLUMNS)}) "
+                f"VALUES ({_OFFER_PLACEHOLDERS})",
+                (offer_to_row(offer) for offer in referenced.values()),
+            )
+    finally:
+        connection.close()
+    os.replace(temp, path)
+    return StoredPairJoin(
+        pair=(int(pair[0]), int(pair[1])),
+        database=path,
+        pid=os.getpid(),
+    )
 
 
 class MergedCandidateStore:
@@ -372,10 +481,12 @@ class MergedCandidateStore:
     merge's order, so the surviving rows and their rowids equal
     :func:`merge_candidate_sets`' first-win dedup exactly.
 
-    Each shard's join is selected from its ``shard.db``, attached
-    read-only one shard at a time (so any number of shards stays within
-    SQLite's attach limit).  The ``offers`` table holds each referenced
-    offer once, in first-appearance order over ``candidates_completed``.
+    Each shard's join and group completion are selected from its
+    ``shard.db``, and each cross-shard join from its pair store, every
+    file attached read-only one at a time (so any number of shards stays
+    within SQLite's attach limit).  The ``offers`` table holds each
+    referenced offer once, in first-appearance order over
+    ``candidates_completed``.
 
     The file is built at ``merged.db.tmp`` beside ``merged.db`` and
     moved over it only after the last table commits, so a crash leaves
@@ -389,7 +500,7 @@ class MergedCandidateStore:
         self._temp = self.path.with_name(self.path.name + ".tmp")
         # Left behind by a writer that died: derived data, never resumed.
         self._temp.unlink(missing_ok=True)
-        # A URI connection, so ATTACH accepts the shards' read-only URIs.
+        # A URI connection, so ATTACH accepts the read-only URIs.
         self._connection = sqlite3.connect(
             self._temp.resolve().as_uri(), uri=True
         )
@@ -402,12 +513,24 @@ class MergedCandidateStore:
                 "INSERT INTO meta VALUES ('schema', ?)", (str(MERGED_SCHEMA),)
             )
 
+    @contextmanager
+    def _attached(self, database: Path, alias: str) -> Iterator[None]:
+        """``database`` attached read-only as ``alias``, in one transaction."""
+        connection = self._connection
+        connection.execute(
+            f"ATTACH DATABASE ? AS {alias}",
+            (f"{database.resolve().as_uri()}?mode=ro",),
+        )
+        try:
+            with connection:
+                yield
+        finally:
+            connection.execute(f"DETACH DATABASE {alias}")
+
     def write(
         self,
         joins: Sequence[StoredShardJoin],
-        cross_sets: Sequence[
-            tuple[tuple[int, int], BlockedPairSet, np.ndarray]
-        ],
+        pairs: Sequence[StoredPairJoin],
         *,
         k: int,
         metrics: Sequence[str],
@@ -417,7 +540,7 @@ class MergedCandidateStore:
 
         ``candidates_completed`` takes every shard's join rows followed
         by its group positives, shard by shard in the given order, then
-        every cross-shard set in the given order.
+        every cross-shard pair store in the given order.
         ``candidates_join_only`` copies that table in rowid order without
         its group rows.  A group positive is a within-group pair its own
         shard's join missed, so it never shares a key with a join or
@@ -427,26 +550,26 @@ class MergedCandidateStore:
         """
         meta = dict(k=int(k), metrics=tuple(metrics), n_shards=int(n_shards))
         connection = self._connection
-        completed = _MERGED_TABLES["completed"]
         for join in joins:
-            connection.execute(
-                "ATTACH DATABASE ? AS shard",
-                (f"{join.database.resolve().as_uri()}?mode=ro",),
-            )
             shard = int(join.shard)
             names = {
                 "tag": namespace_id(shard, ""),
                 "provenance": provenance_tag(shard, shard, ""),
             }
-            try:
-                with connection:
-                    connection.execute(_JOIN_INSERT, names)
-                    connection.execute(_JOIN_OFFERS_INSERT, names)
-                    self._insert(completed, _iter_blocked(join.group, shard))
-            finally:
-                connection.execute("DETACH DATABASE shard")
+            with self._attached(join.database, "shard"):
+                for table, metric in _SHARD_SEGMENTS:
+                    connection.execute(
+                        _SEGMENT_INSERT.format(table=table, metric=metric),
+                        names,
+                    )
+                    connection.execute(
+                        _SEGMENT_OFFERS_INSERT.format(table=table), names
+                    )
+        for pair in pairs:
+            with self._attached(pair.database, "pair"):
+                for statement in _PAIR_INSERTS:
+                    connection.execute(statement)
         with connection:
-            self._insert(completed, _iter_cross(cross_sets))
             self._write_meta("completed", **meta)
         self._write_join_only(**meta)
         connection.close()
@@ -454,29 +577,6 @@ class MergedCandidateStore:
         return tuple(
             StoredMergedCandidates(self.path, table_key, **meta)
             for table_key in _MERGED_TABLES
-        )
-
-    def _insert(
-        self, table: str, candidates: Iterable[_CandidateFields]
-    ) -> None:
-        """Append ``candidates`` and the offers they reference."""
-        referenced: dict[str, ProductOffer] = {}
-
-        def rows() -> Iterator[tuple]:
-            for offer_a, offer_b, label, score, metric, provenance in candidates:
-                a, b = offer_a.offer_id, offer_b.offer_id
-                referenced.setdefault(a, offer_a)
-                referenced.setdefault(b, offer_b)
-                key_a, key_b = (a, b) if a <= b else (b, a)
-                yield key_a, key_b, a, b, label, score, metric, provenance
-
-        self._connection.executemany(
-            f"INSERT OR IGNORE INTO {table} VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            rows(),
-        )
-        self._connection.executemany(
-            f"INSERT OR IGNORE INTO offers VALUES ({_OFFER_PLACEHOLDERS})",
-            (offer_to_row(offer) for offer in referenced.values()),
         )
 
     def _write_meta(

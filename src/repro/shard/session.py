@@ -14,7 +14,10 @@ the sweep's ``k`` and shard metrics (see
 the within-shard joins in parallel and a shard store persists its join.
 Every shard build writes an artifact store (:mod:`repro.io.store`) into
 the session directory — ``store_dir``, or a private temporary directory
-— and the parent only checks those joins and runs the cross-shard pairs.
+— with its join's group completion.  The cross-shard pair joins run in
+the same worker pool (:func:`join_shard_pair`), each writing its rows
+to a pair store, so the parent only coordinates: it checks the joins'
+manifests, prunes the shard pairs and merges every store in SQL.
 The result is a :class:`ShardedArtifacts`: per-shard
 :class:`~repro.io.store.StoredShard` stores plus merged session-level
 views (candidates, benchmark, corpus, engine) that existing consumers —
@@ -41,13 +44,16 @@ every failed shard and every shard pair the sweep consequently skipped.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from repro.blocking.candidates import BlockedPairSet, check_top_k
+import numpy as np
+
+from repro.blocking.candidates import check_top_k
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.builder import BuildConfig
 from repro.corpus.schema import SyntheticCorpus
@@ -58,10 +64,11 @@ from repro.shard.merge import (
     MergedCandidates,
     MergedCandidateStore,
     StoredMergedCandidates,
-    StoredShardJoin,
+    StoredPairJoin,
     merge_benchmarks,
     merge_candidate_sets,
     merge_corpora,
+    write_pair_store,
 )
 from repro.shard.plan import ShardPlan
 from repro.shard.namespace import namespace_id
@@ -75,9 +82,10 @@ from repro.shard.supervisor import (
 )
 from repro.shard.sweep import (
     CROSS_SHARD_METRICS,
+    adopt_stored,
     cross_shard_candidates,
-    shard_universe,
     split_universe,
+    stored_universe,
 )
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.registry import validate_metric_names
@@ -108,6 +116,85 @@ SWEEP_MODES = ("signature", "exhaustive")
 DEFAULT_SIGNATURE_THRESHOLD = 0.97
 
 
+def _plan_pairs(
+    shard_ids: list[int],
+    sizes: list[int],
+    summaries,
+    *,
+    sweep_mode: str,
+    signature_threshold: float,
+    timings: dict[str, float] | None = None,
+) -> tuple[
+    list[tuple[int, int, np.ndarray | None, np.ndarray | None]],
+    SweepPruneStats,
+]:
+    """The shard-pair joins a sweep runs, and what it pruned.
+
+    ``sizes`` are the universes' row counts and ``summaries()`` returns
+    their :class:`RowSignatures` (called only in ``"signature"`` mode).
+    Universe pairs with no possible prefix collision are skipped; a
+    surviving pair comes back as ``(i, j, rows_i, rows_j)`` (universe
+    positions), its rows narrowed to the signature-colliding blocks
+    (``None``: every row).  ``"exhaustive"`` mode joins every pair
+    whole.  ``timings`` (when given) receives the ``sweep:signatures``
+    and ``sweep:prune`` rows.
+    """
+    n_universes = len(sizes)
+    stats = SweepPruneStats(
+        mode=sweep_mode,
+        threshold=(
+            signature_threshold if sweep_mode == "signature" else None
+        ),
+        pairs_total=n_universes * (n_universes - 1) // 2,
+    )
+    index = None
+    if sweep_mode == "signature" and n_universes > 1:
+        with Timer() as timer:
+            index = SignatureIndex(summaries(), threshold=signature_threshold)
+        if timings is not None:
+            timings["sweep:signatures"] = timer.elapsed
+
+    prune_seconds = 0.0
+    blocks = []
+    for i in range(n_universes):
+        for j in range(i + 1, n_universes):
+            size_i, size_j = sizes[i], sizes[j]
+            label = f"{shard_ids[i]}→{shard_ids[j]}"
+            stats.rows_universe += size_i + size_j
+            stats.cells_universe += size_i * size_j
+            if index is None:
+                stats.rows_rescored += size_i + size_j
+                stats.cells_rescored += size_i * size_j
+                blocks.append((i, j, None, None))
+                continue
+            with Timer() as timer:
+                block = index.candidate_block(i, j)
+            prune_seconds += timer.elapsed
+            if block is None:
+                stats.pairs_skipped += 1
+                stats.per_pair[label] = "skipped"
+                continue
+            rows_i, rows_j = block
+            stats.rows_rescored += rows_i.size + rows_j.size
+            stats.cells_rescored += rows_i.size * rows_j.size
+            stats.per_pair[label] = {
+                "rows": int(rows_i.size + rows_j.size),
+                "universe": size_i + size_j,
+                "rescored_fraction": (
+                    (rows_i.size + rows_j.size) / (size_i + size_j)
+                ),
+            }
+            blocks.append((
+                i,
+                j,
+                rows_i if rows_i.size < size_i else None,
+                rows_j if rows_j.size < size_j else None,
+            ))
+    if timings is not None:
+        timings["sweep:prune"] = prune_seconds
+    return blocks, stats
+
+
 def _sweep_universes(
     universes,
     joins,
@@ -119,144 +206,120 @@ def _sweep_universes(
     sweep_mode: str = "signature",
     signature_threshold: float = DEFAULT_SIGNATURE_THRESHOLD,
     summaries: list[RowSignatures | None] | None = None,
-    sink: MergedCandidateStore | None = None,
 ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
-    """Merge every universe's own join with every universe pair's join.
+    """Merge every universe's own join with every universe pair's join,
+    in memory.
 
-    The one sweep implementation behind the session's corpus-level sweep
-    and the split-scoped recall recipe.  ``joins`` yields universe
-    ``i``'s own top-``k`` join, in universe order.  Universe pairs are
-    joined here under the token-only ``cross_metrics``, and the merged
-    sets record the union of every metric joined.
-
-    In ``"signature"`` mode (the default) the universe pairs are pruned
-    through a :class:`SignatureIndex` first: pairs with no possible
-    prefix collision are skipped without ever concatenating an engine,
-    and surviving pairs are rescored only over their signature-colliding
-    row blocks.  ``summaries`` optionally supplies worker-built
-    :class:`RowSignatures` (one per universe, ``None`` entries filled in
-    here); ``"exhaustive"`` mode is the historical full bipartite sweep.
-
-    Returns ``(completed, join_only, prune_stats)``; ``timings`` (when
-    given) receives one ``sweep:<i>→<i>`` row per universe join (its
-    read or computation plus the group-positive completion), one
-    ``sweep:<i>→<j>`` row per executed pair join, plus the aggregate
-    ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore`` rows.
-
-    The session's sweep passes a ``sink`` (a
-    :class:`~repro.shard.merge.MergedCandidateStore`), and ``joins``
-    yields :class:`~repro.shard.merge.StoredShardJoin` values
-    (:meth:`ShardUniverse.adopt_stored`): each join stays in its shard
-    store, the sink merges it there in SQL, and the returned pair of
-    :class:`~repro.shard.merge.StoredMergedCandidates` iterates windowed
-    query results lazily.  Without a sink (the split recipe, whose
-    universes have no store behind them) ``joins`` yields
-    ``BlockedPairSet`` values bound to their namespaced blockers, and
-    the merged sets are in-memory :class:`MergedCandidates`.
+    The sweep of the split-scoped recall recipe, whose universes are
+    views no store holds.  ``joins`` yields universe ``i``'s own
+    top-``k`` join (a ``BlockedPairSet`` bound to its namespaced
+    blocker), in universe order.  Universe pairs are pruned by
+    :func:`_plan_pairs` (``summaries`` optionally supplies prebuilt
+    :class:`RowSignatures`, ``None`` entries built here) and joined in
+    this process under the token-only ``cross_metrics``; the merged
+    sets record the union of every metric joined.  Returns
+    ``(completed, join_only, prune_stats)``; ``timings`` (when given)
+    receives the ``sweep:signatures`` / ``sweep:prune`` /
+    ``sweep:rescore`` rows and one ``sweep:<i>→<j>`` row per pair join.
     """
-    completed_sets: list[tuple[int, BlockedPairSet]] = []
-    join_sets: list[tuple[int, BlockedPairSet | StoredShardJoin]] = []
+    completed_sets = []
+    join_sets = []
     used_metrics: dict[str, None] = {}
-    # ``joins`` may be lazy (computing or reading each join on demand),
-    # so each ``sweep:<i>→<i>`` row times that work as well.
-    joins = iter(joins)
-    for universe in universes:
-        with Timer() as timer:
-            join = next(joins)
-            used_metrics.update(dict.fromkeys(join.metrics))
-            join_sets.append((universe.shard, join))
-            if sink is None:
-                completed_sets.append(
-                    (universe.shard, join.with_group_positives())
-                )
-        if timings is not None:
-            timings[f"sweep:{universe.shard}→{universe.shard}"] = (
-                timer.elapsed
-            )
+    for universe, join in zip(universes, joins):
+        used_metrics.update(dict.fromkeys(join.metrics))
+        join_sets.append((universe.shard, join))
+        completed_sets.append((universe.shard, join.with_group_positives()))
     used_metrics.update(dict.fromkeys(cross_metrics))
-
-    n_universes = len(universes)
-    stats = SweepPruneStats(
-        mode=sweep_mode,
-        threshold=(
-            signature_threshold if sweep_mode == "signature" else None
-        ),
-        pairs_total=n_universes * (n_universes - 1) // 2,
+    given = summaries or [None] * len(universes)
+    blocks, stats = _plan_pairs(
+        [universe.shard for universe in universes],
+        [len(universe) for universe in universes],
+        lambda: [
+            summary
+            if summary is not None
+            else RowSignatures.from_engine(universe.engine)
+            for summary, universe in zip(given, universes)
+        ],
+        sweep_mode=sweep_mode,
+        signature_threshold=signature_threshold,
+        timings=timings,
     )
-    index = None
-    if sweep_mode == "signature" and n_universes > 1:
-        with Timer() as timer:
-            filled = list(summaries) if summaries is not None else (
-                [None] * n_universes
-            )
-            for position, universe in enumerate(universes):
-                if filled[position] is None:
-                    filled[position] = RowSignatures.from_engine(
-                        universe.engine
-                    )
-            index = SignatureIndex(filled, threshold=signature_threshold)
-        if timings is not None:
-            timings["sweep:signatures"] = timer.elapsed
-
-    prune_seconds = 0.0
     rescore_seconds = 0.0
     cross_sets = []
-    for i in range(n_universes):
-        for j in range(i + 1, n_universes):
-            universe_i, universe_j = universes[i], universes[j]
-            label = f"{universe_i.shard}→{universe_j.shard}"
-            stats.rows_universe += len(universe_i) + len(universe_j)
-            stats.cells_universe += len(universe_i) * len(universe_j)
-            if index is not None:
-                with Timer() as timer:
-                    block = index.candidate_block(i, j)
-                prune_seconds += timer.elapsed
-                if block is None:
-                    stats.pairs_skipped += 1
-                    stats.per_pair[label] = "skipped"
-                    continue
-                rows_i, rows_j = block
-                stats.rows_rescored += rows_i.size + rows_j.size
-                stats.cells_rescored += rows_i.size * rows_j.size
-                stats.per_pair[label] = {
-                    "rows": int(rows_i.size + rows_j.size),
-                    "universe": len(universe_i) + len(universe_j),
-                    "rescored_fraction": (
-                        (rows_i.size + rows_j.size)
-                        / (len(universe_i) + len(universe_j))
-                    ),
-                }
-                if rows_i.size < len(universe_i):
-                    universe_i = universe_i.restrict(rows_i)
-                if rows_j.size < len(universe_j):
-                    universe_j = universe_j.restrict(rows_j)
-            else:
-                stats.rows_rescored += len(universe_i) + len(universe_j)
-                stats.cells_rescored += len(universe_i) * len(universe_j)
-            with Timer() as timer:
-                blocked, partition = cross_shard_candidates(
-                    universe_i, universe_j, k=k, metrics=cross_metrics
-                )
-            rescore_seconds += timer.elapsed
-            cross_sets.append(
-                ((universe_i.shard, universe_j.shard), blocked, partition)
+    for i, j, rows_i, rows_j in blocks:
+        universe_i, universe_j = universes[i], universes[j]
+        if rows_i is not None:
+            universe_i = universe_i.restrict(rows_i)
+        if rows_j is not None:
+            universe_j = universe_j.restrict(rows_j)
+        with Timer() as timer:
+            blocked, partition = cross_shard_candidates(
+                universe_i, universe_j, k=k, metrics=cross_metrics
             )
-            if timings is not None:
-                timings[f"sweep:{label}"] = timer.elapsed
+        rescore_seconds += timer.elapsed
+        cross_sets.append(
+            ((universe_i.shard, universe_j.shard), blocked, partition)
+        )
+        if timings is not None:
+            timings[f"sweep:{universe_i.shard}→{universe_j.shard}"] = (
+                timer.elapsed
+            )
     if timings is not None:
-        timings["sweep:prune"] = prune_seconds
         timings["sweep:rescore"] = rescore_seconds
     kwargs = dict(k=k, metrics=tuple(used_metrics), n_shards=n_shards)
-    if sink is not None:
-        completed, join_only = sink.write(
-            [join for _, join in join_sets], cross_sets, **kwargs
-        )
-        return completed, join_only, stats
     return (
         merge_candidate_sets(completed_sets, cross_sets, **kwargs),
         merge_candidate_sets(join_sets, cross_sets, **kwargs),
         stats,
     )
+
+
+def join_shard_pair(
+    sides: tuple[tuple[int, str, dict, np.ndarray | None], ...],
+    *,
+    k: int,
+    metrics: tuple[str, ...],
+    database: str,
+    attempt: int,
+    fault_plan: FaultPlan | None = None,
+) -> tuple[StoredPairJoin, float]:
+    """One cross-shard pair join attempt, written to a pair store.
+
+    The session's pair task: module-level so process pools can pickle
+    it, and run inline by the serial executor.  ``sides`` holds, for
+    shard ``i`` and then shard ``j``, ``(shard, store directory,
+    verified manifest, rows)``, ``rows`` being the signature block of
+    the shard (``None``: every row).  Each side's universe is read off
+    its store (:func:`~repro.shard.sweep.stored_universe`: the mmap
+    engine and only those rows' offers), the two are joined by
+    :func:`~repro.shard.sweep.cross_shard_candidates` on a fresh
+    concatenated engine, and the rows go to the pair store ``database``
+    (:func:`~repro.shard.merge.write_pair_store`), namespaced and tagged
+    for the SQL merge.  Returns the store's
+    :class:`~repro.shard.merge.StoredPairJoin` and the attempt's
+    elapsed seconds.  The fault hook fires first, keyed on the pair.
+    """
+    start = time.perf_counter()
+    pair = (int(sides[0][0]), int(sides[1][0]))
+    plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
+    if plan is not None:
+        plan.inject(pair, attempt)
+    stores = [
+        StoredShard(directory, manifest) for _, directory, manifest, _ in sides
+    ]
+    try:
+        universe_i, universe_j = (
+            stored_universe(stored, shard, rows)
+            for stored, (shard, _, _, rows) in zip(stores, sides)
+        )
+        blocked, partition = cross_shard_candidates(
+            universe_i, universe_j, k=k, metrics=metrics
+        )
+        joined = write_pair_store(database, pair, blocked, partition)
+    finally:
+        for stored in stores:
+            stored.close()
+    return joined, time.perf_counter() - start
 
 
 @dataclass
@@ -305,7 +368,7 @@ class ShardedArtifacts:
     from its store — for a healthy session the identity mapping, for a
     degraded one the surviving subset of the plan (``health`` then
     records who failed, with the full attempt ledger, and which shard
-    pairs the sweep consequently skipped).  ``merged_candidates`` is the
+    pairs the sweep skipped, for a failed shard or a failed pair join).  ``merged_candidates`` is the
     deduplicated per-shard + cross-shard candidate set in its training
     shape (ground-truth group positives completed) and
     ``merged_join_candidates`` the raw top-k join (the shape
@@ -521,9 +584,12 @@ class ShardedBenchmarkSession:
     into ``<directory>/shard-NNNN`` itself and returns only a path
     handle + signature summary across the pool boundary — the parent
     adopts the store, opens shards lazily (mmap engine, SQL-backed
-    benchmark/splits) and the sweep merges the candidates in SQL into
-    ``<directory>/merged.db``, selecting every within-shard join
-    straight out of its shard store.  ``store_dir`` names that directory
+    benchmark/splits), prunes the shard pairs, runs every surviving
+    pair's join as a task on the same pool (:func:`join_shard_pair`,
+    into a pair store under ``<directory>/pairs``) and merges the
+    candidates in SQL into ``<directory>/merged.db``, selecting every
+    within-shard join, group completion and pair join straight out of
+    its store.  ``store_dir`` names that directory
     and is the one persistence option: its shard stores are the
     crash-resume checkpoint, so a rerun over the same directory loads
     every verified shard instead of rebuilding it, its within-shard join
@@ -644,8 +710,25 @@ class ShardedBenchmarkSession:
         )
 
     # ------------------------------------------------------------------ #
+    def _supervisor(self, root: Path) -> ShardSupervisor:
+        # Retries and checkpoints see the session's configs: store-backed
+        # (fingerprints leave store_dir out, so a moved store still
+        # resumes) and carrying the within-shard join.
+        return ShardSupervisor(
+            self._shard_configs(root),
+            session_seed=self.plan.seed,
+            executor=self.executor,
+            max_workers=self.max_workers,
+            policy=self.retry_policy,
+            failure_policy=self.failure_policy,
+            fault_plan=self.fault_plan,
+            checkpoint_store=ShardCheckpointStore(root),
+            with_signatures=self.sweep_mode == "signature",
+            sleep=self.sleep,
+        )
+
     def _build_shards(
-        self, root: Path
+        self, root: Path, supervisor: ShardSupervisor | None = None
     ) -> tuple[
         list[int],
         list[StoredShard],
@@ -664,31 +747,21 @@ class ShardedBenchmarkSession:
         and only merges them.  Returns the surviving shard ids, their
         stores and summaries, the session health report and the
         supervisor's timing rows (``shard:retries``, ``checkpoint:*``).
+        ``supervisor`` (default: a new one, closed on return) keeps its
+        pool open for the pair wave when the caller holds it open.
         """
-        # Retries and checkpoints see the session's configs: store-backed
-        # (fingerprints leave store_dir out, so a moved store still
-        # resumes) and carrying the within-shard join.
-        configs = self._shard_configs(root)
-        supervisor = ShardSupervisor(
-            configs,
-            session_seed=self.plan.seed,
-            executor=self.executor,
-            max_workers=self.max_workers,
-            policy=self.retry_policy,
-            failure_policy=self.failure_policy,
-            fault_plan=self.fault_plan,
-            checkpoint_store=ShardCheckpointStore(root),
-            with_signatures=self.sweep_mode == "signature",
-            sleep=self.sleep,
-        )
+        if supervisor is None:
+            with self._supervisor(root) as supervisor:
+                return self._build_shards(root, supervisor)
         outcomes = supervisor.run()
         survivors = [outcome for outcome in outcomes if outcome.ok]
         shard_ids = [outcome.shard for outcome in survivors]
         surviving = set(shard_ids)
+        n_planned = len(supervisor.configs)
         missing_pairs = tuple(
             (i, j)
-            for i in range(len(configs))
-            for j in range(i + 1, len(configs))
+            for i in range(n_planned)
+            for j in range(i + 1, n_planned)
             if i not in surviving or j not in surviving
         )
         health = supervisor.health(outcomes, missing_pairs=missing_pairs)
@@ -705,48 +778,121 @@ class ShardedBenchmarkSession:
         root: Path,
         shard_ids: list[int],
         shards: list[StoredShard],
+        health: SessionHealth,
         timings: dict[str, float],
         summaries: list[RowSignatures | None] | None = None,
+        supervisor: ShardSupervisor | None = None,
     ) -> tuple[
         StoredMergedCandidates, StoredMergedCandidates, SweepPruneStats
     ]:
-        """Stored per-shard joins + cross-shard pair sweeps, merged.
+        """Stored per-shard joins + cross-shard pair joins, merged in SQL.
 
-        Every shard's within-shard join comes from its build; only the
-        cross-shard pairs are joined here.  Each join is checked against
-        its store's manifest, only its ``(row_a, row_b)`` columns are
-        read (for the group completion), and it is merged in SQL into
+        Every shard's within-shard join and its group completion come
+        from its build; each is checked against its store's manifest
+        only.  The signature index prunes the shard pairs here, and every
+        surviving pair's join runs as a task on the supervisor's pool
+        (:func:`join_shard_pair`), which writes the pair's rows to a pair
+        store under ``<root>/pairs``.  All of it is merged in SQL into
         ``<root>/merged.db`` (see
-        :class:`~repro.shard.merge.MergedCandidateStore`); the merged
-        sets come back as lazy
+        :class:`~repro.shard.merge.MergedCandidateStore`), pair stores in
+        ``(i, j)`` order, and the pair stores are removed once the merge
+        commits.  The merged sets come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
+        ``supervisor`` (default: a new one, closed on return) runs the
+        pair wave.  ``health`` receives the pair ledger
+        (``pair_attempts``) and every pair a ``"degrade"`` session left
+        out (``missing_pairs``).
         """
-        universes = [
-            shard_universe(stored, shard)
-            for shard, stored in zip(shard_ids, shards)
-        ]
-        sink = MergedCandidateStore(root / "merged.db")
-        joins = (
-            universe.adopt_stored(
-                stored, k=self.sweep_k, metrics=self._shard_join_metrics
-            )
-            for universe, stored in zip(universes, shards)
+        if supervisor is None:
+            with self._supervisor(root) as supervisor:
+                return self._sweep(
+                    root, shard_ids, shards, health, timings, summaries,
+                    supervisor,
+                )
+        joins = []
+        for shard, stored in zip(shard_ids, shards):
+            with Timer() as timer:
+                joins.append(
+                    adopt_stored(
+                        stored,
+                        shard,
+                        k=self.sweep_k,
+                        metrics=self._shard_join_metrics,
+                    )
+                )
+            timings[f"sweep:{shard}→{shard}"] = timer.elapsed
+        used_metrics = dict.fromkeys(
+            metric for join in joins for metric in join.metrics
         )
-        try:
-            return _sweep_universes(
-                universes,
-                joins,
+        used_metrics.update(dict.fromkeys(self.sweep_metrics))
+
+        def filled_summaries() -> list[RowSignatures]:
+            # Checkpoint-loaded shards come without a worker summary.
+            given = summaries or [None] * len(shards)
+            return [
+                summary if summary is not None else stored.signatures()
+                for summary, stored in zip(given, shards)
+            ]
+
+        blocks, stats = _plan_pairs(
+            shard_ids,
+            [stored.manifest["engine"]["rows"] for stored in shards],
+            filled_summaries,
+            sweep_mode=self.sweep_mode,
+            signature_threshold=self.signature_threshold,
+            timings=timings,
+        )
+        pair_dir = root / "pairs"
+        # Pair stores of an interrupted run are derived data: discard.
+        shutil.rmtree(pair_dir, ignore_errors=True)
+        pair_dir.mkdir(parents=True)
+        tasks = {}
+        for i, j, rows_i, rows_j in blocks:
+            pair = (shard_ids[i], shard_ids[j])
+            tasks[pair] = dict(
+                sides=tuple(
+                    (shard_ids[position], str(shards[position].directory),
+                     shards[position].manifest, rows)
+                    for position, rows in ((i, rows_i), (j, rows_j))
+                ),
                 k=self.sweep_k,
-                cross_metrics=self.sweep_metrics,
+                metrics=self.sweep_metrics,
+                database=str(pair_dir / f"pair-{pair[0]:04d}-{pair[1]:04d}.db"),
+            )
+        with Timer() as timer:
+            outcomes = supervisor.run_pairs(join_shard_pair, tasks)
+        timings["sweep:rescore"] = timer.elapsed
+        health.pair_attempts = {
+            pair: outcome.attempts for pair, outcome in outcomes.items()
+        }
+        health.missing_pairs = tuple(
+            sorted(
+                {
+                    *health.missing_pairs,
+                    *(pair for pair, outcome in outcomes.items()
+                      if outcome.failure),
+                }
+            )
+        )
+        pairs = []
+        for pair in sorted(outcomes):
+            if outcomes[pair].failure is None:
+                joined, elapsed = outcomes[pair].result
+                timings[f"sweep:{pair[0]}→{pair[1]}"] = elapsed
+                pairs.append(joined)
+        sink = MergedCandidateStore(root / "merged.db")
+        try:
+            completed, join_only = sink.write(
+                joins,
+                pairs,
+                k=self.sweep_k,
+                metrics=tuple(used_metrics),
                 n_shards=len(shards),
-                timings=timings,
-                sweep_mode=self.sweep_mode,
-                signature_threshold=self.signature_threshold,
-                summaries=summaries,
-                sink=sink,
             )
         finally:
             sink.close()
+        shutil.rmtree(pair_dir, ignore_errors=True)
+        return completed, join_only, stats
 
     # ------------------------------------------------------------------ #
     def build(self) -> ShardedArtifacts:
@@ -775,25 +921,29 @@ class ShardedBenchmarkSession:
 
     def _build(self, root: Path) -> ShardedArtifacts:
         timings: dict[str, float] = {}
-        with Timer() as timer:
-            shard_ids, shards, summaries, health, supervisor_timings = (
-                self._build_shards(root)
-            )
-        timings["shards"] = timer.elapsed
-        timings.update(supervisor_timings)
-        for shard, artifacts in zip(shard_ids, shards):
-            # Checkpoint-loaded shards spent no build time this session;
-            # their historical stage rows would only distort budgets.
-            if health.statuses.get(shard) == "checkpoint":
-                continue
-            for stage, seconds in artifacts.stage_timings.items():
-                timings[f"shard:{shard}:{stage}"] = seconds
+        # One pool from the first build wave through the pair wave.
+        with self._supervisor(root) as supervisor:
+            with Timer() as timer:
+                shard_ids, shards, summaries, health, supervisor_timings = (
+                    self._build_shards(root, supervisor)
+                )
+            timings["shards"] = timer.elapsed
+            timings.update(supervisor_timings)
+            for shard, artifacts in zip(shard_ids, shards):
+                # Checkpoint-loaded shards spent no build time this
+                # session; their historical stage rows would only
+                # distort budgets.
+                if health.statuses.get(shard) == "checkpoint":
+                    continue
+                for stage, seconds in artifacts.stage_timings.items():
+                    timings[f"shard:{shard}:{stage}"] = seconds
 
-        with Timer() as timer:
-            merged, merged_join, stats = self._sweep(
-                root, shard_ids, shards, timings, summaries
-            )
-        timings["sweep"] = timer.elapsed
+            with Timer() as timer:
+                merged, merged_join, stats = self._sweep(
+                    root, shard_ids, shards, health, timings, summaries,
+                    supervisor,
+                )
+            timings["sweep"] = timer.elapsed
 
         return ShardedArtifacts(
             self.plan,

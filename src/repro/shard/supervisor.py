@@ -31,6 +31,15 @@ cannot preempt a running build and classifies post-hoc on the
 attempt's measured elapsed time (the worker-side build clock, so queue
 wait is never billed as build time).
 
+After the build waves, :meth:`ShardSupervisor.run_pairs` runs a
+session's cross-shard pair joins on the same pool and through the same
+retry loop, so pairs get the same timeout, retry budget, backoff and
+error types as builds (a pair has no seeds to respawn); a pair that
+fails for good raises under ``failure_policy="raise"`` or is reported
+missing under ``"degrade"``.  The pool lives from the first wave until
+:meth:`ShardSupervisor.close` (or the end of ``with supervisor:``), so
+a session shuts it down once.
+
 With a :class:`~repro.shard.checkpoint.ShardCheckpointStore` attached,
 verified checkpoints are loaded up front (those shards never enter the
 build waves) and every freshly built shard's store, which its worker
@@ -67,6 +76,7 @@ from repro.errors import (
     ShardCrashError,
     ShardRetriesExhaustedError,
     ShardTimeoutError,
+    describe_task,
 )
 from repro.io.store import StoredShard, StoredShardHandle, clear_stale_lock
 from repro.shard.checkpoint import ShardCheckpointStore
@@ -78,6 +88,7 @@ __all__ = [
     "RetryPolicy",
     "AttemptRecord",
     "ShardOutcome",
+    "TaskOutcome",
     "SessionHealth",
     "ShardSupervisor",
     "respawn_config",
@@ -197,7 +208,12 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One build attempt of one shard, as the health report records it."""
+    """One build attempt of one shard (or join attempt of one shard
+    pair), as the health report records it.
+
+    ``pid`` is the process that ran a successful attempt, where the task
+    reports it (pair joins do).
+    """
 
     attempt: int
     ok: bool
@@ -205,6 +221,7 @@ class AttemptRecord:
     message: str | None = None
     elapsed: float = 0.0
     reseeded: bool = False
+    pid: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -214,6 +231,7 @@ class AttemptRecord:
             "message": self.message,
             "elapsed_seconds": self.elapsed,
             "reseeded": self.reseeded,
+            "pid": self.pid,
         }
 
 
@@ -240,10 +258,11 @@ class SessionHealth:
 
     The contract behind ``failure_policy="degrade"``: partial results are
     never silently presented as complete.  ``missing_pairs`` lists every
-    shard pair absent from the cross-shard sweep because one side failed,
-    and ``statuses`` / ``attempts`` record how each shard got here
-    (``"built"``, ``"checkpoint"``, or ``"failed"`` with its full attempt
-    ledger).
+    shard pair absent from the cross-shard sweep because one side failed
+    or its join failed for good, and ``statuses`` / ``attempts`` record
+    how each shard got here (``"built"``, ``"checkpoint"``, or
+    ``"failed"`` with its full attempt ledger).  ``pair_attempts`` is the
+    separate ledger of the cross-shard join attempts, keyed by ``(i, j)``.
     """
 
     failure_policy: str
@@ -255,10 +274,14 @@ class SessionHealth:
     failed_shards: tuple[int, ...] = ()
     surviving_shards: tuple[int, ...] = ()
     missing_pairs: tuple[tuple[int, int], ...] = ()
+    pair_attempts: dict[tuple[int, int], tuple[AttemptRecord, ...]] = field(
+        default_factory=dict
+    )
 
     @property
     def degraded(self) -> bool:
-        return bool(self.failed_shards)
+        """A shard or a shard pair is missing from the session."""
+        return bool(self.failed_shards or self.missing_pairs)
 
     def as_dict(self) -> dict:
         return {
@@ -277,6 +300,10 @@ class SessionHealth:
             "failed_shards": list(self.failed_shards),
             "surviving_shards": list(self.surviving_shards),
             "missing_pairs": [list(pair) for pair in self.missing_pairs],
+            "pair_attempts": {
+                f"{i}→{j}": [record.as_dict() for record in records]
+                for (i, j), records in self.pair_attempts.items()
+            },
         }
 
 
@@ -329,9 +356,27 @@ def _build_one_shard(
 
 @dataclass
 class _Pending:
-    config: BuildConfig
-    attempt: int
-    reseeded: bool
+    """The next attempt of one task key (``config``: a shard build's)."""
+
+    attempt: int = 1
+    config: BuildConfig | None = None
+    reseeded: bool = False
+
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """How one supervised task (a shard build or a pair join) ended.
+
+    ``result`` is what its successful attempt returned (after the
+    caller's ``accept`` hook), ``None`` when it failed for good;
+    ``attempts`` is its ledger, ``state`` its last attempt and
+    ``failure`` its final error.
+    """
+
+    result: object
+    attempts: tuple[AttemptRecord, ...]
+    state: _Pending
+    failure: ShardBuildError | None = None
 
 
 class ShardSupervisor:
@@ -399,6 +444,19 @@ class ShardSupervisor:
         self.stage_timings: dict[str, float] = {}
         self._pool: ProcessPoolExecutor | None = None
 
+    def __enter__(self) -> "ShardSupervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down (a no-op without one).  The only place the
+        pool ends, apart from a wave that breaks it."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
     # ------------------------------------------------------------------ #
     # Pool lifecycle
     # ------------------------------------------------------------------ #
@@ -427,16 +485,26 @@ class ShardSupervisor:
     # Attempt classification
     # ------------------------------------------------------------------ #
     def _classify(
-        self, error: BaseException, *, shard: int, attempt: int, elapsed: float
+        self,
+        error: BaseException,
+        *,
+        shard: int | tuple[int, int],
+        attempt: int,
+        elapsed: float,
     ) -> tuple[ShardBuildError, bool, bool]:
-        """``(classified, retryable, reseed)`` for one failed attempt."""
+        """``(classified, retryable, reseed)`` for one failed attempt of
+        a shard build (``shard`` an id) or a pair join (an ``(i, j)``).
+
+        Only a build has seeds to respawn: a pair join's
+        corner-selection error is a code bug like any other."""
+        subject, first, stage = describe_task(shard)
         if isinstance(error, (ShardCrashError, ShardTimeoutError)):
             return error, True, False
-        if isinstance(error, CornerSelectionError):
+        if isinstance(error, CornerSelectionError) and stage == "build":
             wrapped = ShardBuildError(
-                f"shard {shard} attempt {attempt} exhausted its corner-case "
+                f"{subject} attempt {attempt} exhausted its corner-case "
                 f"pool: {error}",
-                shard=shard,
+                shard=first,
                 attempt=attempt,
                 stage="selection",
                 elapsed=elapsed,
@@ -445,21 +513,22 @@ class ShardSupervisor:
             return wrapped, True, True
         if isinstance(error, BrokenProcessPool):
             crash = ShardCrashError(
-                f"shard {shard} attempt {attempt}: worker process pool "
+                f"{subject} attempt {attempt}: worker process pool "
                 "broke (a worker died — crash or OOM)",
-                shard=shard,
+                shard=first,
                 attempt=attempt,
-                stage="build",
+                stage=stage,
                 elapsed=elapsed,
             )
             crash.__cause__ = error
             return crash, True, False
+        where = "the build pipeline" if stage == "build" else "its join"
         wrapped = ShardBuildError(
-            f"shard {shard} attempt {attempt} failed in the build pipeline: "
+            f"{subject} attempt {attempt} failed in {where}: "
             f"{type(error).__name__}: {error}",
-            shard=shard,
+            shard=first,
             attempt=attempt,
-            stage="build",
+            stage=stage,
             elapsed=elapsed,
         )
         wrapped.__cause__ = error if isinstance(error, Exception) else None
@@ -468,82 +537,182 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # Wave execution
     # ------------------------------------------------------------------ #
-    def _submit_args(self, shard: int, state: _Pending) -> tuple:
-        return (
-            state.config,
-        ), dict(
-            shard=shard,
-            attempt=state.attempt,
-            with_signatures=self.with_signatures,
-            fault_plan=self.fault_plan,
-        )
-
-    def _serial_wave(self, wave, pending) -> dict:
+    # A wave maps each task key (a shard id or an ``(i, j)`` shard pair)
+    # to ``(attempt, kwargs)`` of one call of ``fn``, whose result ends in
+    # its worker-measured elapsed seconds; it returns ``(ok, payload,
+    # elapsed)`` per key.
+    def _serial_wave(self, fn, calls: dict) -> dict:
         results = {}
-        for shard in wave:
-            args, kwargs = self._submit_args(shard, pending[shard])
+        for key, (_, kwargs) in calls.items():
             with Timer() as timer:
                 try:
-                    results[shard] = (True, self.build_fn(*args, **kwargs), 0.0)
+                    payload = fn(**kwargs)
                 except Exception as error:
-                    results[shard] = (False, error, timer.elapsed)
-            if results[shard][0]:
-                results[shard] = (
-                    True,
-                    results[shard][1],
-                    results[shard][1][2],
-                )
+                    results[key] = (False, error, timer.elapsed)
+                    continue
+            results[key] = (True, payload, payload[-1])
         return results
 
-    def _process_wave(self, wave, pending) -> dict:
+    def _process_wave(self, fn, calls: dict) -> dict:
         results = {}
         pool = self._ensure_pool()
-        futures = {}
-        for shard in wave:
-            args, kwargs = self._submit_args(shard, pending[shard])
-            futures[shard] = pool.submit(self.build_fn, *args, **kwargs)
+        futures = {
+            key: pool.submit(fn, **kwargs) for key, (_, kwargs) in calls.items()
+        }
         start = time.monotonic()
         pool_tainted = False
-        for shard in wave:
-            state = pending[shard]
+        for key, (attempt, _) in calls.items():
             try:
                 if self.policy.timeout is None:
-                    payload = futures[shard].result()
+                    payload = futures[key].result()
                 else:
                     remaining = max(
                         0.0, start + self.policy.timeout - time.monotonic()
                     )
-                    payload = futures[shard].result(timeout=remaining)
-                results[shard] = (True, payload, payload[2])
+                    payload = futures[key].result(timeout=remaining)
+                results[key] = (True, payload, payload[-1])
             except FuturesTimeoutError:
                 pool_tainted = True
-                results[shard] = (
+                subject, first, stage = describe_task(key)
+                results[key] = (
                     False,
                     ShardTimeoutError(
-                        f"shard {shard} attempt {state.attempt} exceeded the "
+                        f"{subject} attempt {attempt} exceeded the "
                         f"{self.policy.timeout}s wall-clock budget",
-                        shard=shard,
-                        attempt=state.attempt,
-                        stage="build",
+                        shard=first,
+                        attempt=attempt,
+                        stage=stage,
                         elapsed=self.policy.timeout,
                     ),
                     self.policy.timeout or 0.0,
                 )
             except BrokenProcessPool as error:
                 pool_tainted = True
-                results[shard] = (False, error, time.monotonic() - start)
+                results[key] = (False, error, time.monotonic() - start)
             except Exception as error:
-                results[shard] = (False, error, time.monotonic() - start)
+                results[key] = (False, error, time.monotonic() - start)
         if pool_tainted:
             # Hung workers occupy slots and dead pools reject submits —
             # either way the next wave needs a fresh pool.
             self._kill_pool()
         return results
 
-    def _run_wave(self, wave, pending) -> dict:
+    def _run_wave(self, fn, calls: dict) -> dict:
         if self.executor == "process" and len(self.configs) > 1:
-            return self._process_wave(wave, pending)
-        return self._serial_wave(wave, pending)
+            return self._process_wave(fn, calls)
+        return self._serial_wave(fn, calls)
+
+    def _supervise(
+        self, fn, pending: dict, make_kwargs, *, accept=None, on_retry=None
+    ) -> dict:
+        """Drive every ``pending`` task key to a :class:`TaskOutcome`.
+
+        Tasks run in waves: each wave calls ``fn(**make_kwargs(key,
+        state))`` for every pending key, whose result ends in its
+        worker-measured elapsed seconds.  A successful attempt that took
+        longer than the policy's timeout counts as a
+        :class:`~repro.errors.ShardTimeoutError` (the serial executor
+        cannot preempt, and a late process result is no better).
+        ``accept(key, state, payload)`` turns a successful payload into
+        the outcome's result (default: the payload itself).  A retryable
+        failure with budget left is retried with ``on_retry(key, state,
+        reseed)`` as its next state (default: the same task, one attempt
+        later), after one backoff per wave; a key out of budget ends in
+        :class:`~repro.errors.ShardRetriesExhaustedError`, and any other
+        failure ends at once.  A final failure raises under
+        ``failure_policy="raise"``.
+        """
+        ledgers: dict = {key: [] for key in pending}
+        settled: dict = {}
+        while pending:
+            wave = sorted(pending)
+            results = self._run_wave(
+                fn,
+                {
+                    key: (pending[key].attempt, make_kwargs(key, pending[key]))
+                    for key in wave
+                },
+            )
+            retry_sleep = 0.0
+            for key in wave:
+                ok, payload, elapsed = results[key]
+                state = pending.pop(key)
+                subject, first, stage = describe_task(key)
+                if ok:
+                    elapsed = payload[-1]
+                    timeout = self.policy.timeout
+                    if timeout is None or elapsed <= timeout:
+                        ledgers[key].append(
+                            AttemptRecord(
+                                attempt=state.attempt,
+                                ok=True,
+                                elapsed=elapsed,
+                                reseeded=state.reseeded,
+                                pid=getattr(payload[0], "pid", None),
+                            )
+                        )
+                        settled[key] = TaskOutcome(
+                            accept(key, state, payload) if accept else payload,
+                            tuple(ledgers[key]),
+                            state,
+                        )
+                        continue
+                    error: BaseException = ShardTimeoutError(
+                        f"{subject} attempt {state.attempt} took "
+                        f"{elapsed:.2f}s, over the {timeout}s budget",
+                        shard=first,
+                        attempt=state.attempt,
+                        stage=stage,
+                        elapsed=elapsed,
+                    )
+                else:
+                    error = payload
+                classified, retryable, reseed = self._classify(
+                    error, shard=key, attempt=state.attempt, elapsed=elapsed
+                )
+                ledgers[key].append(
+                    AttemptRecord(
+                        attempt=state.attempt,
+                        ok=False,
+                        error=type(classified.__cause__ or classified).__name__,
+                        message=str(classified),
+                        elapsed=elapsed,
+                        reseeded=state.reseeded,
+                    )
+                )
+                if retryable and state.attempt < self.policy.max_attempts:
+                    pending[key] = (
+                        on_retry(key, state, reseed)
+                        if on_retry
+                        else replace(state, attempt=state.attempt + 1)
+                    )
+                    retry_sleep = max(
+                        retry_sleep, self.policy.backoff(state.attempt)
+                    )
+                    continue
+                # Out of budget (or not retryable): final failure.
+                if retryable:
+                    final: ShardBuildError = ShardRetriesExhaustedError(
+                        f"{subject} failed all {self.policy.max_attempts} "
+                        f"attempts; last error: {classified}",
+                        shard=first,
+                        attempt=state.attempt,
+                        stage=classified.stage,
+                        elapsed=elapsed,
+                    )
+                    final.__cause__ = classified
+                else:
+                    final = classified
+                settled[key] = TaskOutcome(
+                    None, tuple(ledgers[key]), state, final
+                )
+                if self.failure_policy == "raise":
+                    raise final
+            if pending and retry_sleep > 0:
+                # One backoff per wave: concurrent tasks share the
+                # longest scheduled backoff instead of stacking them.
+                self.sleep(retry_sleep)
+        return settled
 
     # ------------------------------------------------------------------ #
     def run(self) -> list[ShardOutcome]:
@@ -554,12 +723,10 @@ class ShardSupervisor:
         under ``"degrade"`` failed shards come back as ``failed``
         outcomes — unless *every* shard failed, which always raises (a
         session with zero surviving shards has no degraded mode to offer).
+        The pool stays open for the caller: :meth:`close` (or leaving
+        ``with supervisor:``) shuts it down.
         """
         outcomes: dict[int, ShardOutcome] = {}
-        attempts: dict[int, list[AttemptRecord]] = {
-            shard: [] for shard in range(len(self.configs))
-        }
-
         load_seconds = 0.0
         save_seconds = 0.0
         pending: dict[int, _Pending] = {}
@@ -582,150 +749,74 @@ class ShardSupervisor:
                         config=config,
                     )
                     continue
-            pending[shard] = _Pending(config=config, attempt=1, reseeded=False)
+            pending[shard] = _Pending(config=config)
+
+        def build_kwargs(shard: int, state: _Pending) -> dict:
+            return dict(
+                config=state.config,
+                shard=shard,
+                attempt=state.attempt,
+                with_signatures=self.with_signatures,
+                fault_plan=self.fault_plan,
+            )
+
+        def adopt(shard: int, state: _Pending, payload) -> tuple:
+            nonlocal save_seconds
+            artifacts, summary, build_elapsed = payload
+            if isinstance(artifacts, StoredShardHandle):
+                # Adopt the worker's store by path: the open verifies the
+                # manifest + streamed sha256s, and a failure here is a
+                # code bug (the worker just reported success), so strict.
+                artifacts = artifacts.open(strict=True)
+            if self.checkpoint_store is not None:
+                with Timer() as timer:
+                    self.checkpoint_store.save(
+                        shard,
+                        artifacts,
+                        base_config=self.configs[shard],
+                        attempt=state.attempt,
+                        elapsed=build_elapsed,
+                    )
+                save_seconds += timer.elapsed
+            return artifacts, summary
+
+        def retry(shard: int, state: _Pending, reseed: bool) -> _Pending:
+            self.retries += 1
+            attempt = state.attempt + 1
+            if not reseed:
+                return replace(state, attempt=attempt)
+            return _Pending(
+                attempt=attempt,
+                config=respawn_config(
+                    self.configs[shard],
+                    session_seed=self.session_seed,
+                    shard=shard,
+                    attempt=attempt,
+                ),
+                reseeded=True,
+            )
 
         try:
-            while pending:
-                wave = sorted(pending)
-                results = self._run_wave(wave, pending)
-                retry_sleep = 0.0
-                for shard in wave:
-                    ok, payload, elapsed = results[shard]
-                    state = pending[shard]
-                    error: BaseException | None = None
-                    if ok:
-                        artifacts, summary, build_elapsed = payload
-                        if isinstance(artifacts, StoredShardHandle):
-                            # Adopt the worker's store by path: the open
-                            # verifies the manifest + streamed sha256s,
-                            # and a failure here is a code bug (the
-                            # worker just reported success), so strict.
-                            artifacts = artifacts.open(strict=True)
-                        if (
-                            self.policy.timeout is not None
-                            and build_elapsed > self.policy.timeout
-                        ):
-                            # Post-hoc enforcement for executors that
-                            # cannot preempt (and late process results).
-                            error = ShardTimeoutError(
-                                f"shard {shard} attempt {state.attempt} "
-                                f"took {build_elapsed:.2f}s, over the "
-                                f"{self.policy.timeout}s budget",
-                                shard=shard,
-                                attempt=state.attempt,
-                                stage="build",
-                                elapsed=build_elapsed,
-                            )
-                            elapsed = build_elapsed
-                        else:
-                            attempts[shard].append(
-                                AttemptRecord(
-                                    attempt=state.attempt,
-                                    ok=True,
-                                    elapsed=build_elapsed,
-                                    reseeded=state.reseeded,
-                                )
-                            )
-                            outcomes[shard] = ShardOutcome(
-                                shard=shard,
-                                artifacts=artifacts,
-                                summary=summary,
-                                attempts=tuple(attempts[shard]),
-                                source="built",
-                                config=state.config,
-                            )
-                            del pending[shard]
-                            if self.checkpoint_store is not None:
-                                with Timer() as timer:
-                                    self.checkpoint_store.save(
-                                        shard,
-                                        artifacts,
-                                        base_config=self.configs[shard],
-                                        attempt=state.attempt,
-                                        elapsed=build_elapsed,
-                                    )
-                                save_seconds += timer.elapsed
-                            continue
-                    else:
-                        error = payload
-
-                    classified, retryable, reseed = self._classify(
-                        error, shard=shard, attempt=state.attempt,
-                        elapsed=elapsed,
-                    )
-                    attempts[shard].append(
-                        AttemptRecord(
-                            attempt=state.attempt,
-                            ok=False,
-                            error=type(
-                                classified.__cause__ or classified
-                            ).__name__,
-                            message=str(classified),
-                            elapsed=elapsed,
-                            reseeded=state.reseeded,
-                        )
-                    )
-                    if retryable and state.attempt < self.policy.max_attempts:
-                        self.retries += 1
-                        next_attempt = state.attempt + 1
-                        next_config = (
-                            respawn_config(
-                                self.configs[shard],
-                                session_seed=self.session_seed,
-                                shard=shard,
-                                attempt=next_attempt,
-                            )
-                            if reseed
-                            else state.config
-                        )
-                        pending[shard] = _Pending(
-                            config=next_config,
-                            attempt=next_attempt,
-                            reseeded=state.reseeded or reseed,
-                        )
-                        retry_sleep = max(
-                            retry_sleep, self.policy.backoff(state.attempt)
-                        )
-                        continue
-
-                    # Out of budget (or not retryable): final failure.
-                    del pending[shard]
-                    if retryable:
-                        final: ShardBuildError = ShardRetriesExhaustedError(
-                            f"shard {shard} failed all "
-                            f"{self.policy.max_attempts} attempts; last "
-                            f"error: {classified}",
-                            shard=shard,
-                            attempt=state.attempt,
-                            stage=classified.stage,
-                            elapsed=elapsed,
-                        )
-                        final.__cause__ = classified
-                    else:
-                        final = classified
-                    outcomes[shard] = ShardOutcome(
-                        shard=shard,
-                        artifacts=None,
-                        summary=None,
-                        attempts=tuple(attempts[shard]),
-                        source="failed",
-                        config=state.config,
-                        failure=final,
-                    )
-                    if self.failure_policy == "raise":
-                        raise final
-                if pending and retry_sleep > 0:
-                    # One backoff per wave: concurrent shards share the
-                    # longest scheduled backoff instead of stacking them.
-                    self.sleep(retry_sleep)
+            settled = self._supervise(
+                self.build_fn, pending, build_kwargs, accept=adopt,
+                on_retry=retry,
+            )
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
             self.stage_timings["shard:retries"] = float(self.retries)
             if self.checkpoint_store is not None:
                 self.stage_timings["checkpoint:load"] = load_seconds
                 self.stage_timings["checkpoint:save"] = save_seconds
+        for shard, done in settled.items():
+            artifacts, summary = done.result or (None, None)
+            outcomes[shard] = ShardOutcome(
+                shard=shard,
+                artifacts=artifacts,
+                summary=summary,
+                attempts=done.attempts,
+                source="failed" if done.failure else "built",
+                config=done.state.config,
+                failure=done.failure,
+            )
 
         ordered = [outcomes[shard] for shard in sorted(outcomes)]
         if not any(outcome.ok for outcome in ordered):
@@ -739,6 +830,32 @@ class ShardSupervisor:
             error.__cause__ = failures[0] if failures else None
             raise error
         return ordered
+
+    # ------------------------------------------------------------------ #
+    def run_pairs(
+        self, fn, tasks: dict[tuple[int, int], dict]
+    ) -> dict[tuple[int, int], TaskOutcome]:
+        """Run every shard-pair join task to an outcome on the pool.
+
+        ``tasks`` maps each ``(i, j)`` pair to the keyword arguments of
+        one ``fn`` call; ``fn`` also receives ``attempt`` and
+        ``fault_plan`` and returns ``(result, elapsed_seconds)``, where
+        ``result`` carries the ``pid`` that computed it.  The pairs run
+        under the same loop as the shard builds (:meth:`_supervise`):
+        the same timeout, retry budget, backoff and error types, with no
+        seeds to respawn.  Returns each pair's :class:`TaskOutcome`:
+        ``result`` is ``fn``'s return, ``attempts`` the pair's own
+        ledger, apart from the shard builds'.  A pair that fails for good
+        raises under ``failure_policy="raise"``; under ``"degrade"`` its
+        outcome carries the ``failure``.
+        """
+        return self._supervise(
+            fn,
+            {pair: _Pending() for pair in tasks},
+            lambda pair, state: dict(
+                tasks[pair], attempt=state.attempt, fault_plan=self.fault_plan
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     def health(

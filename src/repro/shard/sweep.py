@@ -22,11 +22,14 @@ comparable across shards (``CROSS_SHARD_METRICS``).
 The *within*-shard join needs no shared universe, so it runs where the
 data lives: a session shard's build computes it as its ``blocking``
 stage over raw ids (see :mod:`repro.core.builder`) and persists it in
-the shard's store, and the sweep checks it against the store's manifest
-and leaves it on disk for the SQL merge
-(:meth:`ShardUniverse.adopt_stored`).  Join rows are row-indexed, and
-namespacing is a bijection inside one shard, so the stored rows are
-exactly the join the namespaced universe would compute itself.
+the shard's store with its group completion, and the sweep checks it
+against the store's manifest and leaves it on disk for the SQL merge
+(:func:`adopt_stored`).  Join rows are row-indexed, and namespacing is a
+bijection inside one shard, so the stored rows are exactly the join the
+namespaced universe would compute itself.  A session's cross-shard
+joins run in its worker pool as well: each task reads its two shards'
+universes off their stores (:func:`stored_universe`), restricted to the
+rows the signature index kept.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from repro.similarity.registry import validate_metric_names
 __all__ = [
     "CROSS_SHARD_METRICS",
     "ShardUniverse",
+    "adopt_stored",
     "shard_universe",
+    "stored_universe",
     "split_universe",
     "cross_shard_blocker",
     "cross_shard_candidates",
@@ -92,58 +97,6 @@ class ShardUniverse:
             self.engine, offers=self.offers, group_labels=self.labels
         )
 
-    def adopt_stored(
-        self,
-        stored: StoredShard,
-        *,
-        k: int,
-        metrics: tuple[str, ...],
-    ) -> StoredShardJoin:
-        """This universe's own top-``k`` join, left in ``stored``'s store.
-
-        ``stored`` is the shard store whose build computed the
-        full-universe join over raw ids; its rows index this universe's
-        engine.  The join is checked against its manifest record (row
-        count, ``n_queries``, ``k``, metrics): a join over a different
-        row count, with another ``k`` or under other metrics (or no join
-        at all) raises :class:`~repro.errors.SweepJoinError`.  Only its
-        ``(row_a, row_b)`` columns are read, to complete the group
-        positives; :class:`~repro.shard.merge.MergedCandidateStore`
-        selects the join rows from ``shard.db`` itself.
-        """
-        info = stored.manifest.get("blocked")
-        if info is None:
-            raise SweepJoinError(
-                f"shard {self.shard} carries no within-shard join"
-            )
-        rows = stored.manifest["engine"]["rows"]
-        join_metrics = tuple(info["metrics"])
-        if (
-            rows != len(self)
-            or info["n_queries"] != len(self)
-            or info["k"] != k
-            or join_metrics != tuple(metrics)
-        ):
-            raise SweepJoinError(
-                f"shard {self.shard}: the within-shard join covers "
-                f"{info['n_queries']} of {rows} rows at k={info['k']} "
-                f"under {join_metrics}, but the sweep needs all "
-                f"{len(self)} rows at k={k} under {tuple(metrics)}"
-            )
-        blocker = self.blocker()
-        return StoredShardJoin(
-            shard=self.shard,
-            database=stored.database,
-            metrics=join_metrics,
-            group=BlockedPairSet(
-                blocker,
-                blocker.group_positives(stored.blocked_row_pairs()),
-                k=info["k"],
-                metrics=join_metrics,
-                n_queries=info["n_queries"],
-            ),
-        )
-
     def restrict(self, rows: Sequence[int] | np.ndarray) -> "ShardUniverse":
         """This universe narrowed to ``rows`` (a signature-sweep block).
 
@@ -173,6 +126,70 @@ def shard_universe(artifacts: BuildArtifacts, shard: int) -> ShardUniverse:
         labels=[
             namespace_id(shard, offer.cluster_id) for offer in offers
         ],
+    )
+
+
+def stored_universe(
+    stored: StoredShard, shard: int, rows: np.ndarray | None = None
+) -> ShardUniverse:
+    """Shard ``shard``'s universe read off its store, over ``rows``.
+
+    ``rows`` (``None``: every row) narrow it as
+    :meth:`ShardUniverse.restrict` narrows :func:`shard_universe`'s
+    universe, with the same engine rows, offers and labels, but only
+    those rows' offers are read from the store.
+    """
+    engine = stored.engine
+    if engine is None:
+        raise ValueError(f"shard {shard} was built without an engine")
+    if rows is None:
+        offers = stored.offers_at_rows(range(len(engine)))
+    else:
+        offers = stored.offers_at_rows(rows)
+        engine = engine.view(rows)
+    return ShardUniverse(
+        shard=shard,
+        engine=engine,
+        offers=namespace_offers(offers, shard),
+        labels=[namespace_id(shard, offer.cluster_id) for offer in offers],
+    )
+
+
+def adopt_stored(
+    stored: StoredShard,
+    shard: int,
+    *,
+    k: int,
+    metrics: tuple[str, ...],
+) -> StoredShardJoin:
+    """Shard ``shard``'s own top-``k`` join, left in ``stored``'s store.
+
+    ``stored`` is the shard store whose build computed the full-universe
+    join over raw ids and stored its group completion.  Only the
+    manifest is read: a join that does not cover every engine row, has
+    another ``k`` or other metrics (or no join at all) raises
+    :class:`~repro.errors.SweepJoinError`.
+    :class:`~repro.shard.merge.MergedCandidateStore` selects the join
+    and group rows from ``shard.db`` itself.
+    """
+    info = stored.manifest.get("blocked")
+    if info is None:
+        raise SweepJoinError(f"shard {shard} carries no within-shard join")
+    rows = stored.manifest["engine"]["rows"]
+    join_metrics = tuple(info["metrics"])
+    if (
+        info["n_queries"] != rows
+        or info["k"] != k
+        or join_metrics != tuple(metrics)
+    ):
+        raise SweepJoinError(
+            f"shard {shard}: the within-shard join covers "
+            f"{info['n_queries']} of {rows} rows at k={info['k']} "
+            f"under {join_metrics}, but the sweep needs all "
+            f"{rows} rows at k={k} under {tuple(metrics)}"
+        )
+    return StoredShardJoin(
+        shard=shard, database=stored.database, metrics=join_metrics
     )
 
 

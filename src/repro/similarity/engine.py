@@ -436,7 +436,14 @@ class SimilarityEngine:
                 self._matrix, self._set_sizes, self._token_keys
             )
 
-    def _refresh_from_buffers(self) -> None:
+    def _refresh_from_buffers(self, *, tokens_changed: bool = True) -> None:
+        """Re-point the engine's arrays at the row buffers after a mutation.
+
+        ``tokens_changed=False`` (a retire) keeps the postings index: a
+        retire changes no row's tokens, and retired rows are masked at
+        top-k and in the Generalized-Jaccard prefilter, not in the
+        intersection counts.
+        """
         buffers = self._growable
         self._matrix = csr_matrix(
             (
@@ -454,7 +461,8 @@ class SimilarityEngine:
         )
         self.delta_version += 1
         self._signature_cache = None
-        self._postings = None
+        if tokens_changed:
+            self._postings = None
         # The cached title view wraps the pre-mutation matrix.
         self._attribute_views.pop("title", None)
 
@@ -539,7 +547,7 @@ class SimilarityEngine:
             )
         buffers.retired[row_array] = True
         buffers.n_retired += int(row_array.size)
-        self._refresh_from_buffers()
+        self._refresh_from_buffers(tokens_changed=False)
         return row_array
 
     def live_rows(self) -> np.ndarray:
@@ -672,7 +680,8 @@ class SimilarityEngine:
 
         ``(indptr, rows)``: the incidence matrix column-major, so the rows
         holding token ``t`` are ``rows[indptr[t]:indptr[t + 1]]``.  It is
-        derived state — a mutation drops it, no store persists it.
+        derived state — an ``append`` drops it (a ``retire`` keeps it), no
+        store persists it.
         """
         if self._postings is None:
             by_token = self._matrix.tocsc()

@@ -55,9 +55,22 @@ class TestFaultPlan:
             (
                 FaultSpec(shard=1, attempt=1, kind="crash"),
                 FaultSpec(shard=2, attempt=1, kind="sleep", seconds=26.0),
+                FaultSpec(shard=(0, 2), attempt=1, kind="crash"),
             )
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_pair_key_fires_only_for_its_pair(self):
+        plan = FaultPlan.from_json(
+            '[{"shard": [0, 1], "attempt": 1, "kind": "crash"}]'
+        )
+        assert plan.spec_for((0, 1), 1) is plan.faults[0]
+        assert plan.spec_for(0, 1) is None
+        assert plan.spec_for((0, 2), 1) is None
+        plan.inject(0, 1)  # the shard build of shard 0: no fault
+        with pytest.raises(ShardCrashError, match="shard pair 0→1") as caught:
+            plan.inject((0, 1), 1)
+        assert caught.value.stage == "pair"
 
     def test_from_json_rejects_non_lists(self):
         with pytest.raises(ValueError, match="list"):

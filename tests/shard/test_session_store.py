@@ -14,6 +14,7 @@ must be gone once its artifacts are closed or collected.
 import gc
 import hashlib
 import json
+import os
 import shutil
 import sqlite3
 
@@ -21,9 +22,11 @@ import pytest
 
 from repro.blocking.candidates import CandidateBlocker
 from repro.core import BuildConfig
-from repro.errors import StoreError, SweepJoinError
+from repro.errors import ShardBuildError, StoreError, SweepJoinError
 from repro.io.store import StoredShard, StoredShardHandle
 from repro.shard import (
+    FaultPlan,
+    FaultSpec,
     MergedCandidates,
     ShardCheckpointStore,
     ShardPlan,
@@ -31,6 +34,8 @@ from repro.shard import (
     StoredMergedCandidates,
     shard_universe,
 )
+import repro.shard.session as session_module
+from repro.shard.sweep import adopt_stored
 from repro.similarity.engine import SimilarityEngine
 from repro.shard.supervisor import _build_one_shard
 
@@ -325,34 +330,41 @@ class TestWithinShardJoinInTheBuild:
 
     def test_mismatched_join_is_a_typed_error(self, store_session):
         stored = store_session.shards[0]
-        universe = shard_universe(stored, 0)
-        adopted = universe.adopt_stored(
-            stored, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+        adopted = adopt_stored(
+            stored, 0, k=SWEEP_K, metrics=SimilarityEngine.METRICS
         )
+        assert adopted.shard == 0
         assert adopted.database == stored.database
         assert adopted.metrics == SimilarityEngine.METRICS
-        assert adopted.group.blocker.offer_ids[0].startswith("s0")
         with pytest.raises(SweepJoinError, match="k=11"):
-            universe.adopt_stored(
-                stored, k=SWEEP_K + 1, metrics=SimilarityEngine.METRICS
+            adopt_stored(
+                stored, 0, k=SWEEP_K + 1, metrics=SimilarityEngine.METRICS
             )
         with pytest.raises(SweepJoinError, match=r"under \('cosine',\)"):
-            universe.adopt_stored(stored, k=SWEEP_K, metrics=("cosine",))
-        no_join = StoredShard(
-            stored.directory,
-            {
+            adopt_stored(stored, 0, k=SWEEP_K, metrics=("cosine",))
+
+        def with_manifest(**changes):
+            manifest = {
                 key: value
-                for key, value in stored.manifest.items()
-                if key != "blocked"
-            },
-        )
+                for key, value in {**stored.manifest, **changes}.items()
+                if value is not None
+            }
+            return StoredShard(stored.directory, manifest)
+
         with pytest.raises(SweepJoinError, match="no within-shard join"):
-            universe.adopt_stored(
-                no_join, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+            adopt_stored(
+                with_manifest(blocked=None),
+                0,
+                k=SWEEP_K,
+                metrics=SimilarityEngine.METRICS,
             )
-        with pytest.raises(SweepJoinError, match="rows"):
-            universe.restrict([0, 1]).adopt_stored(
-                stored, k=SWEEP_K, metrics=SimilarityEngine.METRICS
+        partial = {**stored.manifest["blocked"], "n_queries": 2}
+        with pytest.raises(SweepJoinError, match="covers 2 of"):
+            adopt_stored(
+                with_manifest(blocked=partial),
+                0,
+                k=SWEEP_K,
+                metrics=SimilarityEngine.METRICS,
             )
 
 
@@ -431,3 +443,189 @@ class TestValidation:
         assert config.store_dir == str(tmp_path)
         with pytest.raises(TypeError, match="store_backend"):
             BuildConfig.small(store_dir=str(tmp_path), store_backend="sqlite")
+
+
+class TestPairJoinsInThePool:
+    """Each surviving shard pair is joined by a task on the supervisor's
+    pool, and its rows reach ``merged.db`` through a pair store.
+
+    Every session here resumes from a copy of the serial fixture's shard
+    stores, so no shard is rebuilt: only the pair wave and the merge
+    run.
+    """
+
+    @staticmethod
+    def _resumed(store_root, tmp_path, executor="serial", **kwargs):
+        for shard in range(N_SHARDS):
+            name = f"shard-{shard:04d}"
+            shutil.copytree(store_root / "serial" / name, tmp_path / name)
+        return _store_session(tmp_path, executor, **kwargs).build()
+
+    @staticmethod
+    def _swept(session):
+        return {
+            tuple(int(shard) for shard in label.split("→"))
+            for label, outcome in session.sweep_stats.per_pair.items()
+            if outcome != "skipped"
+        }
+
+    def test_group_table_equals_the_parent_side_completion(self, store_session):
+        for shard, stored in zip(
+            store_session.shard_ids, store_session.shards
+        ):
+            join = stored.blocked_candidates
+            expected = shard_universe(stored, shard).blocker().group_positives(
+                [(pair.row_a, pair.row_b) for pair in join.pairs]
+            )
+            connection = sqlite3.connect(stored.database)
+            try:
+                table = connection.execute(
+                    "SELECT row_a, row_b, score FROM group_positives "
+                    "ORDER BY position"
+                ).fetchall()
+            finally:
+                connection.close()
+            assert expected
+            assert table == [
+                (pair.row_a, pair.row_b, pair.score) for pair in expected
+            ]
+
+    @pytest.mark.parametrize(
+        "executor, max_workers",
+        [("serial", None), ("process", 1), ("process", 2)],
+    )
+    def test_merged_pin_under_every_executor_and_worker_count(
+        self, store_root, store_session, tmp_path, executor, max_workers
+    ):
+        session = self._resumed(
+            store_root, tmp_path, executor, max_workers=max_workers
+        )
+        try:
+            assert (
+                _candidates_fingerprint(session.merged_candidates)
+                == EXPECTED_MERGED_SHA256
+            )
+            health = session.health
+            assert set(health.statuses.values()) == {"checkpoint"}
+            assert set(health.pair_attempts) == self._swept(session)
+            assert health.pair_attempts
+            pids = set()
+            for records in health.pair_attempts.values():
+                assert [record.ok for record in records] == [True]
+                pids.add(records[0].pid)
+            if executor == "process":
+                # No cross-shard join ran in this (the parent) process.
+                assert os.getpid() not in pids
+                assert len(pids) <= max_workers
+            else:
+                assert pids == {os.getpid()}
+            # The pair stores are gone once merged.db is committed.
+            assert not (tmp_path / "pairs").exists()
+            assert set(session.stage_timings) >= {
+                "sweep:signatures",
+                "sweep:prune",
+                "sweep:rescore",
+                *(f"sweep:{i}→{j}" for i, j in health.pair_attempts),
+            }
+        finally:
+            session.close()
+
+    def test_crashed_pair_task_is_retried(
+        self, store_root, store_session, tmp_path
+    ):
+        plan = FaultPlan((FaultSpec(shard=(0, 1), attempt=1, kind="crash"),))
+        session = self._resumed(
+            store_root,
+            tmp_path,
+            "process",
+            max_workers=2,
+            fault_plan=plan,
+            retry_backoff=0.0,
+        )
+        try:
+            assert (
+                _candidates_fingerprint(session.merged_candidates)
+                == EXPECTED_MERGED_SHA256
+            )
+            records = session.health.pair_attempts[(0, 1)]
+            assert [record.ok for record in records] == [False, True]
+            assert records[0].error == "BrokenProcessPool"
+            assert not session.degraded
+            assert session.health.missing_pairs == ()
+            # Pair attempts stay out of the per-shard build ledger.
+            assert session.health.retries == 0
+            assert all(
+                records == () for records in session.health.attempts.values()
+            )
+        finally:
+            session.close()
+
+    def test_stale_pair_stores_are_discarded(
+        self, store_root, store_session, tmp_path
+    ):
+        stale = tmp_path / "pairs"
+        stale.mkdir()
+        (stale / "pair-0000-0001.db").write_bytes(b"left by a crash")
+        (tmp_path / "merged.db.tmp").write_bytes(b"left by a crash")
+        session = self._resumed(store_root, tmp_path)
+        try:
+            assert (
+                _candidates_fingerprint(session.merged_candidates)
+                == EXPECTED_MERGED_SHA256
+            )
+            assert not stale.exists()
+            assert not (tmp_path / "merged.db.tmp").exists()
+        finally:
+            session.close()
+
+    @staticmethod
+    def _failing_pair(monkeypatch, failing):
+        original = session_module.cross_shard_candidates
+
+        def join(universe_i, universe_j, **kwargs):
+            if (universe_i.shard, universe_j.shard) == failing:
+                raise ValueError("boom: a genuine code bug")
+            return original(universe_i, universe_j, **kwargs)
+
+        monkeypatch.setattr(session_module, "cross_shard_candidates", join)
+
+    def test_failed_pair_raises_typed(
+        self, store_root, store_session, tmp_path, monkeypatch
+    ):
+        self._failing_pair(monkeypatch, (0, 1))
+        with pytest.raises(ShardBuildError, match="shard pair 0→1") as caught:
+            self._resumed(store_root, tmp_path)
+        assert caught.value.stage == "pair"
+        assert isinstance(caught.value.__cause__, ValueError)
+        assert not (tmp_path / "merged.db").exists()
+
+    def test_failed_pair_is_missing_under_degrade(
+        self, store_root, store_session, tmp_path, monkeypatch
+    ):
+        self._failing_pair(monkeypatch, (0, 1))
+        session = self._resumed(
+            store_root, tmp_path, failure_policy="degrade"
+        )
+        try:
+            health = session.health
+            assert health.missing_pairs == ((0, 1),)
+            # No shard failed, yet a missing pair makes the session
+            # degraded: its merged candidates lack the pair.
+            assert health.failed_shards == ()
+            assert session.degraded
+            assert health.as_dict()["degraded"] is True
+            # A code bug is never retried.
+            assert [record.ok for record in health.pair_attempts[(0, 1)]] == [
+                False
+            ]
+            assert health.as_dict()["missing_pairs"] == [[0, 1]]
+            tags = session.merged_candidates.per_provenance_counts()
+            assert not any(
+                tag.startswith(("shard:0→1:", "shard:1→0:")) for tag in tags
+            )
+            assert any(tag.startswith("shard:0→2:") or tag.startswith(
+                "shard:2→0:") for tag in tags) or (0, 2) not in self._swept(
+                session
+            )
+        finally:
+            session.close()

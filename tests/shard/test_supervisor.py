@@ -10,8 +10,9 @@ lives in ``test_session.py``.
 
 import ctypes
 import functools
+import os
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import (
     ShardBuildError,
     ShardCrashError,
     ShardRetriesExhaustedError,
+    ShardTimeoutError,
 )
 from repro.io.store import StoredShard, StoredShardHandle, write_store
 from repro.shard import (
@@ -83,6 +85,20 @@ def _hang_second_shard(
     if shard == 1 and attempt == 1:
         time.sleep(30.0)
     return {"shard": shard, "attempt": attempt}, None, 0.01
+
+
+@dataclass(frozen=True)
+class _PairResult:
+    pair: tuple
+    pid: int
+
+
+def _fake_pair(*, pair, attempt, fault_plan=None):
+    """The pair-task contract without a real join: ``(result, elapsed)``."""
+    start = time.perf_counter()
+    if fault_plan is not None:
+        fault_plan.inject(pair, attempt)
+    return _PairResult(pair, os.getpid()), time.perf_counter() - start
 
 
 _BUILD_CALLS = []
@@ -307,6 +323,75 @@ class TestBudgetsAndPolicies:
             supervisor.run()
 
 
+class TestPairTasks:
+    """Pair joins run through the same retry loop as shard builds."""
+
+    TASKS = {(0, 1): dict(pair=(0, 1)), (1, 2): dict(pair=(1, 2))}
+
+    def test_serial_sleep_fault_over_the_timeout_is_retried(self):
+        plan = FaultPlan(
+            (FaultSpec(shard=(0, 1), attempt=1, kind="sleep", seconds=0.3),)
+        )
+        supervisor = _supervisor(
+            fault_plan=plan,
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.0, timeout=0.2),
+        )
+        outcomes = supervisor.run_pairs(_fake_pair, self.TASKS)
+        records = outcomes[(0, 1)].attempts
+        assert [record.ok for record in records] == [False, True]
+        assert records[0].error == "ShardTimeoutError"
+        assert records[0].elapsed >= 0.3
+        assert records[1].pid == os.getpid()
+        assert outcomes[(0, 1)].result[0] == _PairResult((0, 1), os.getpid())
+        assert [r.ok for r in outcomes[(1, 2)].attempts] == [True]
+        # Pair retries stay out of the shard-build retry count.
+        assert supervisor.retries == 0
+
+    def test_exhausted_pair_raises_retries_exhausted(self):
+        plan = FaultPlan(
+            tuple(
+                FaultSpec(shard=(1, 2), attempt=attempt, kind="crash")
+                for attempt in (1, 2)
+            )
+        )
+        supervisor = _supervisor(
+            fault_plan=plan,
+            policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        )
+        with pytest.raises(ShardRetriesExhaustedError) as excinfo:
+            supervisor.run_pairs(_fake_pair, self.TASKS)
+        assert "shard pair 1→2 failed all 2 attempts" in str(excinfo.value)
+        assert (excinfo.value.shard, excinfo.value.stage) == (1, "pair")
+        assert isinstance(excinfo.value.__cause__, ShardCrashError)
+
+    def test_exhausted_timeouts_are_a_missing_pair_under_degrade(self):
+        plan = FaultPlan(
+            (FaultSpec(shard=(0, 1), attempt=1, kind="sleep", seconds=0.3),)
+        )
+        supervisor = _supervisor(
+            fault_plan=plan,
+            failure_policy="degrade",
+            policy=RetryPolicy(max_attempts=1, timeout=0.2),
+        )
+        outcomes = supervisor.run_pairs(_fake_pair, self.TASKS)
+        failed = outcomes[(0, 1)]
+        assert failed.result is None
+        assert isinstance(failed.failure, ShardRetriesExhaustedError)
+        assert isinstance(failed.failure.__cause__, ShardTimeoutError)
+        assert outcomes[(1, 2)].failure is None
+
+    def test_pair_corner_selection_is_not_reseeded(self):
+        plan = FaultPlan(
+            (FaultSpec(shard=(0, 1), attempt=1, kind="corner_selection"),)
+        )
+        supervisor = _supervisor(fault_plan=plan, failure_policy="degrade")
+        failed = supervisor.run_pairs(_fake_pair, self.TASKS)[(0, 1)]
+        assert [record.ok for record in failed.attempts] == [False]
+        assert not isinstance(failed.failure, ShardRetriesExhaustedError)
+        assert failed.failure.stage == "pair"
+        assert "failed in its join" in str(failed.failure)
+
+
 class TestSupervisorValidation:
     def test_thread_executor_rejected(self):
         with pytest.raises(ValueError, match="executor") as excinfo:
@@ -433,12 +518,15 @@ class TestCheckpointsThroughSupervisor:
 class TestProcessExecutor:
     def test_worker_crash_breaks_pool_and_recovers(self):
         plan = FaultPlan((FaultSpec(shard=0, attempt=1, kind="crash"),))
-        supervisor = _supervisor(
+        with _supervisor(
             executor="process",
             max_workers=2,
             fault_plan=plan,
-        )
-        outcomes = supervisor.run()
+        ) as supervisor:
+            outcomes = supervisor.run()
+            # run() leaves the (rebuilt) pool open for a later wave.
+            assert supervisor._pool is not None
+        assert supervisor._pool is None
         assert all(outcome.ok for outcome in outcomes)
         assert supervisor.retries >= 1
         # The injected crash kills a real worker with os._exit: the pool
@@ -450,14 +538,14 @@ class TestProcessExecutor:
         assert not outcomes[0].attempts[-1].reseeded
 
     def test_hung_worker_is_terminated_at_the_deadline(self):
-        supervisor = _supervisor(
+        start = time.monotonic()
+        with _supervisor(
             executor="process",
             max_workers=2,
             build_fn=_hang_second_shard,
             policy=RetryPolicy(max_attempts=2, backoff_base=0.0, timeout=2.0),
-        )
-        start = time.monotonic()
-        outcomes = supervisor.run()
+        ) as supervisor:
+            outcomes = supervisor.run()
         wall = time.monotonic() - start
         assert all(outcome.ok for outcome in outcomes)
         failed = [r for r in outcomes[1].attempts if not r.ok]

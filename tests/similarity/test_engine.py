@@ -322,10 +322,35 @@ class TestPostingsKernelMatchesScipyProduct:
         fresh = live._intersections(live._external_ids([{"zzfresh"}])[0])
         assert fresh[0, added[-2:]].tolist() == [1.0, 1.0]
         _assert_external_oracle(live, _external_sets(titles[:10]))
+        index = live._postings
         live.retire([0, 5, int(added[-1])])
-        assert live._postings is None
+        assert live._postings is index
         _assert_corpus_oracle(live, range(len(live)))
         _assert_external_oracle(live, _external_sets(titles[:10]))
+
+    def test_retire_reuses_the_index(self, titles):
+        # A retire changes no row's tokens: the index built before it
+        # serves every query after it, exactly as the oracle counts.
+        live = SimilarityEngine(titles, prefilter=8)
+        _assert_corpus_oracle(live, range(len(live)))  # builds the index
+        index = live._postings
+        assert index is not None
+        for rows in ([3], [0, 11, len(live) - 1]):
+            live.retire(rows)
+            assert live._postings is index
+            _assert_corpus_oracle(live, range(len(live)))
+            _assert_external_oracle(live, _external_sets(titles[:10]))
+        assert live._postings is index
+        # Retired rows stay out of every top-k answer.
+        retired = {3, 0, 11, len(live) - 1}
+        for indices, _ in live.top_k_scores_batch(
+            range(len(live)), "cosine", k=5
+        ):
+            assert not retired & set(indices)
+        # An append after the retires still drops it.
+        live.append(["zzfresh veltrix card"])
+        assert live._postings is None
+        _assert_corpus_oracle(live, range(len(live)))
 
     def test_view(self, engine, titles):
         view = engine.view([5, 9, 2, 30, 44, 13, 48, 49])
